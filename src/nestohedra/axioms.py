@@ -83,20 +83,41 @@ def _bounds(p: FacePoset) -> tuple[list[int], list[int]]:
     return bottoms, tops
 
 
-def _connected_mask(p: FacePoset, nodes: int) -> bool:
-    """Connectivity of faces under comparability, restricted to ``nodes``."""
-    if nodes == 0:
-        return True
-    start = nodes & -nodes
-    reached = start
-    while True:
-        grow = reached
-        for u in bits_of(reached):
-            grow |= (p._above[u] | p._below[u]) & nodes
-        if grow == reached:
-            break
-        reached = grow
-    return reached == nodes
+def _rank_masks(p: FacePoset) -> dict[int, int]:
+    """Bitmask of the faces of each rank."""
+    masks: dict[int, int] = {}
+    for i, rk in enumerate(p.ranks):
+        masks[rk] = masks.get(rk, 0) | 1 << i
+    return masks
+
+
+def _interval_connected(p: FacePoset, f: int, g: int,
+                        up: list[int], down: list[int]) -> bool:
+    """Are the faces strictly between ``f`` and ``g`` connected under
+    comparability?  ``up``/``down`` are the cover bitmasks.
+
+    Every face of the open interval lies above one of its minimal faces
+    (covers of f below g) and below one of its maximal faces (faces
+    covered by g above f), so the interval is connected exactly when
+    those two sets are, linked by the order.  The walk expands only the
+    newly reached faces on each round.
+    """
+    lows = up[f] & p._below[g]
+    highs = down[g] & p._above[f]
+    reached_low = frontier = lows & -lows
+    reached_high = 0
+    while frontier:
+        grow = 0
+        for u in bits_of(frontier):
+            grow |= p._above[u]
+        fresh = grow & highs & ~reached_high
+        reached_high |= fresh
+        grow = 0
+        for v in bits_of(fresh):
+            grow |= p._below[v]
+        frontier = grow & lows & ~reached_low
+        reached_low |= frontier
+    return reached_low == lows and reached_high == highs
 
 
 def verify_axioms(p: FacePoset) -> VerificationReport:
@@ -113,39 +134,55 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
         witness = tuple(face_label(p.faces[i]) for i in (bottoms + tops)[:4])
         counter.append(("P1", witness))
 
-    # flags: maximal chains walked along covers from the minimal faces
-    ups: list[list[int]] = [[] for _ in range(n)]
+    # flags: maximal chains along covers from the minimal faces.  Each
+    # face keeps the lengths of the chains from it to a maximal face,
+    # with their numbers, so no flag is walked one by one.
+    up = [0] * n
+    down = [0] * n
     for a, b in p.covers():
-        ups[a].append(b)
+        up[a] |= 1 << b
+        down[b] |= 1 << a
+    tails: list[dict[int, int]] = [{}] * n
+    for i in sorted(range(n), key=lambda i: -p.ranks[i]):
+        if not up[i]:
+            tails[i] = {1: 1}
+            continue
+        tail: dict[int, int] = {}
+        for j in bits_of(up[i]):
+            for length, count in tails[j].items():
+                tail[length + 1] = tail.get(length + 1, 0) + count
+        tails[i] = tail
     minimals = [i for i in range(n) if p._below[i] == 1 << i]
     expected = r + 2
-    flags_checked = 0
-    p2 = True
-    stack = [(i, 1) for i in minimals]
-    while stack:
-        i, length = stack.pop()
-        if not ups[i]:
-            flags_checked += 1
-            if length != expected:
-                if p2:
-                    counter.append(("P2", (face_label(p.faces[i]), f"length {length}")))
-                p2 = False
-        else:
-            for j in ups[i]:
-                stack.append((j, length + 1))
+    flags_checked = sum(sum(tails[i].values()) for i in minimals)
+    p2 = all(tails[i].keys() == {expected} for i in minimals)
+    if not p2:
+        # the first bad flag in depth-first order, last cover first
+        def bad(i: int, depth: int) -> bool:
+            return any(depth + length != expected for length in tails[i])
+
+        i, depth = next(i for i in reversed(minimals) if bad(i, 0)), 1
+        while up[i]:
+            i = next(j for j in reversed(list(bits_of(up[i]))) if bad(j, depth))
+            depth += 1
+        counter.append(("P2", (face_label(p.faces[i]), f"length {depth}")))
 
     # strong connectedness: only sections of rank >= 2 need the walk
+    rank_mask = _rank_masks(p)
+    rank_at_least: dict[int, int] = {}
+    acc = 0
+    for rk in range(r, min(p.ranks, default=r) - 1, -1):
+        acc |= rank_mask.get(rk, 0)
+        rank_at_least[rk] = acc
     p3 = True
     sections_checked = 0
     for f in range(n):
-        for g in bits_of(p._above[f] & ~(1 << f)):
-            if p.ranks[g] - p.ranks[f] < 3:
-                continue
+        for g in bits_of(p._above[f] & rank_at_least.get(p.ranks[f] + 3, 0)):
             sections_checked += 1
             nodes = (p._above[f] & p._below[g]) & ~(1 << f) & ~(1 << g)
             if nodes.bit_count() <= 1:
                 continue
-            if not _connected_mask(p, nodes):
+            if not _interval_connected(p, f, g, up, down):
                 p3 = False
                 counter.append(("P3", (face_label(p.faces[f]),
                                        face_label(p.faces[g]))))
@@ -153,9 +190,7 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
     # diamond: exactly two faces strictly between any rank-gap-2 pair
     p4 = True
     for f in range(n):
-        for g in bits_of(p._above[f] & ~(1 << f)):
-            if p.ranks[g] - p.ranks[f] != 2:
-                continue
+        for g in bits_of(p._above[f] & rank_mask.get(p.ranks[f] + 2, 0)):
             mids = (p._above[f] & p._below[g]) & ~(1 << f) & ~(1 << g)
             if mids.bit_count() != 2:
                 p4 = False
@@ -189,9 +224,7 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
 
     p2 = p3 = p4 = True
     sections_checked = 0
-    rank_index: dict[int, list[int]] = {}
-    for i, rk in enumerate(p.ranks):
-        rank_index.setdefault(rk, []).append(i)
+    rank_mask = _rank_masks(p)
 
     for i in sorted(range(n), key=lambda i: p.ranks[i]):
         rk = p.ranks[i]
@@ -210,11 +243,12 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
                 counter.append(("base-rank-0", (face_label(p.faces[i]),)))
             continue
         sections_checked += 1
-        facets = [j for j in rank_index.get(rk - 1, []) if bel >> j & 1]
-        if not facets:
+        smask = bel & rank_mask.get(rk - 1, 0)
+        if not smask:
             p2 = False
             counter.append(("facet-coverage", (face_label(p.faces[i]), "no facets")))
             continue
+        facets = list(bits_of(smask))
         # coverage: everything strictly below must sit inside a facet
         covered = 0
         for f in facets:
@@ -226,12 +260,8 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
             counter.append(("facet-coverage", (face_label(p.faces[i]),
                                                face_label(p.faces[wit]))))
         # bivalence: every rank k-2 face below i lies in exactly 2 facets
-        smask = 0
-        for f in facets:
-            smask |= 1 << f
-        for y in rank_index.get(rk - 2, []):
-            if not bel >> y & 1:
-                continue
+        ridge_mask = rank_mask.get(rk - 2, 0)
+        for y in bits_of(bel & ridge_mask):
             cnt = (p._above[y] & smask).bit_count()
             if cnt != 2:
                 p4 = False
@@ -240,10 +270,6 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
                                               f"in {cnt} facets")))
         # close connectedness through shared rank k-2 faces
         if len(facets) > 1:
-            ridge_rank = rk - 2
-            ridge_mask = 0
-            for y in rank_index.get(ridge_rank, []):
-                ridge_mask |= 1 << y
             rid = {f: p._below[f] & ridge_mask for f in facets}
             reached = {facets[0]}
             frontier = [facets[0]]

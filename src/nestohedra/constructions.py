@@ -25,6 +25,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import (
+    NestohedraError,
     NotAConstructionError,
     NotASCError,
     NotAtomicError,
@@ -284,7 +285,8 @@ def _construction_masks(h: Hypergraph, k: Iterable[Iterable[str]]) -> list[int]:
 def _ftree(top: int, pool: list[int], h: Hypergraph) -> FTree:
     proper = [m for m in pool if m != top and m & ~top == 0]
     root_mask = top & ~family_union(proper)
-    assert root_mask and root_mask & (root_mask - 1) == 0, "non-unique root"
+    if not root_mask or root_mask & (root_mask - 1):
+        raise NestohedraError("internal error: non-unique root")
     root = h.atoms[root_mask.bit_length() - 1]
     children = [m for m in proper
                 if not any(m != o and m & ~o == 0 for o in proper)]
@@ -384,7 +386,8 @@ def _forest_sterm(trees: Iterable[FTree]) -> STerm:
                 root = item
             else:
                 children.append(item)
-        assert root is not None
+        if root is None:
+            raise NestohedraError("internal error: tree without a root atom")
         words.append(Prefix(root, _forest_sterm(children)))
     if not words:
         return EMPTY

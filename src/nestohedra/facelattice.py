@@ -5,12 +5,17 @@ distinguished bottom face.  The bottom is a sentinel variant rather than
 a family with an extra marker element, so it can never collide with a
 construct.  The poset stores the full order relation as per-face
 bitmasks; covers, sections and the lattice operations derive from it.
+
+Construct posets are built from one bitset per member, the faces that
+contain it: the faces above a construct are those holding none of the
+members it lacks.  Sections remap the parent's bitsets.  No builder
+compares faces pairwise.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadFactorError,
@@ -84,18 +89,34 @@ class FacePoset:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_leq(cls, faces_ranks: Iterable[tuple[Face, int]],
-                 leq: Callable[[Face, Face], bool]) -> "FacePoset":
+    def _from_families(cls, faces_ranks: Iterable[tuple[Face, int]]) -> "FacePoset":
+        """Reverse inclusion on construct families, with ``BOTTOM`` least.
+
+        Each member gets the bitset of faces containing it; face j lies
+        above face i exactly when j contains no member missing from i.
+        """
         items = sorted(faces_ranks, key=lambda fr: (fr[1], face_label(fr[0])))
         faces = [f for f, _ in items]
         ranks = [r for _, r in items]
-        n = len(faces)
-        above = [0] * n
-        for i in range(n):
-            fi = faces[i]
-            for j in range(n):
-                if i == j or leq(fi, faces[j]):
-                    above[i] |= 1 << j
+        full = (1 << len(faces)) - 1
+        non_bottom = full
+        contains: dict[AtomSet, int] = {}
+        for i, f in enumerate(faces):
+            if f is BOTTOM:
+                non_bottom &= ~(1 << i)
+                continue
+            for m in f:
+                contains[m] = contains.get(m, 0) | 1 << i
+        above = []
+        for f in faces:
+            if f is BOTTOM:
+                above.append(full)
+                continue
+            excluded = 0
+            for m, holders in contains.items():
+                if m not in f:
+                    excluded |= holders
+            above.append(non_bottom & ~excluded)
         return cls(faces, ranks, above)
 
     @classmethod
@@ -199,14 +220,6 @@ class FacePoset:
 # the face poset of a hypergraph
 # ---------------------------------------------------------------------------
 
-def _reverse_inclusion(a: Face, b: Face) -> bool:
-    if a is BOTTOM:
-        return True
-    if b is BOTTOM:
-        return False
-    return b <= a
-
-
 def abstract_polytope(h: Hypergraph) -> FacePoset:
     """Constructs of ``h`` under reverse inclusion, plus a least face.
 
@@ -218,7 +231,7 @@ def abstract_polytope(h: Hypergraph) -> FacePoset:
     n = h.n_atoms
     faces_ranks: list[tuple[Face, int]] = [(BOTTOM, -1)]
     faces_ranks += [(c, n - len(c)) for c in constructs]
-    return FacePoset.from_leq(faces_ranks, _reverse_inclusion)
+    return FacePoset._from_families(faces_ranks)
 
 
 def f_vector(p: FacePoset) -> tuple[int, ...]:
@@ -295,7 +308,7 @@ def otimes(*posets: FacePoset) -> FacePoset:
         face = frozenset().union(*(f for f, _ in combo))
         rank = sum(r for _, r in combo)
         faces_ranks.append((face, rank))
-    return FacePoset.from_leq(faces_ranks, _reverse_inclusion)
+    return FacePoset._from_families(faces_ranks)
 
 
 def continuation(h: Hypergraph, y: Iterable[str],
@@ -341,7 +354,7 @@ def facet_section(h: Hypergraph, y: Iterable[str]) -> FacePoset:
     for c in enumerate_constructs(h):
         if ys in c:
             faces_ranks.append((c, n - len(c)))
-    return FacePoset.from_leq(faces_ranks, _reverse_inclusion)
+    return FacePoset._from_families(faces_ranks)
 
 
 def section(p: FacePoset, g: Face, f: Face) -> FacePoset:
@@ -349,10 +362,23 @@ def section(p: FacePoset, g: Face, f: Face) -> FacePoset:
     fi, gi = p.index(f), p.index(g)
     if not p._above[fi] >> gi & 1:
         raise NotComparableError("section endpoints are not comparable")
-    keep = p._above[fi] & p._below[gi]
-    fr = p.ranks[fi]
-    faces_ranks = [(p.faces[i], p.ranks[i] - fr - 1) for i in bits_of(keep)]
-    return FacePoset.from_leq(faces_ranks, lambda a, b: p.leq(a, b))
+    return _induced(p, p._above[fi] & p._below[gi], p.ranks[fi] + 1)
+
+
+def _induced(p: FacePoset, keep: int, shift: int = 0) -> FacePoset:
+    """The sub-order of ``p`` on the faces in the bitmask ``keep``, ranks
+    lowered by ``shift`` and faces re-sorted like every other builder."""
+    old = sorted(bits_of(keep),
+                 key=lambda i: (p.ranks[i] - shift, face_label(p.faces[i])))
+    new_of = {i: a for a, i in enumerate(old)}
+    above = []
+    for a, i in enumerate(old):
+        row = 1 << a
+        for j in bits_of(p._above[i] & keep):
+            row |= 1 << new_of[j]
+        above.append(row)
+    return FacePoset([p.faces[i] for i in old],
+                     [p.ranks[i] - shift for i in old], above)
 
 
 # ---------------------------------------------------------------------------

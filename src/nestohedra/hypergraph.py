@@ -119,23 +119,28 @@ class Hypergraph:
 
         With no ``carrier`` the carrier is the union of the members.  A
         declared carrier must have distinct atoms and equal that union.
+        Members and the carrier are iterables of nonempty atom-name
+        strings (a string iterates as its one-character atoms).
         """
-        fams: list[AtomSet] = []
+        try:
+            fams: list[AtomSet] = [frozenset(raw) for raw in members]
+            union: set[str] = set().union(*fams)
+            declared = None if carrier is None else list(carrier)
+            atoms_set = union if declared is None else set(declared)
+        except TypeError:
+            raise HypergraphError(
+                "members and the carrier must be collections of atom names") from None
+        for a in union | atoms_set:
+            if not isinstance(a, str) or not a:
+                raise HypergraphError(f"atoms must be nonempty strings, got {a!r}")
         seen: set[AtomSet] = set()
-        for raw in members:
-            fam = frozenset(raw)
+        for fam in fams:
             if not fam:
                 raise EmptyMemberError("the empty set cannot be a member")
             if fam in seen:
                 raise DuplicateMemberError(f"duplicate member {sorted(fam)}")
             seen.add(fam)
-            fams.append(fam)
-        union: set[str] = set().union(*fams) if fams else set()
-        if carrier is None:
-            atoms_set = union
-        else:
-            declared = list(carrier)
-            atoms_set = set(declared)
+        if declared is not None:
             if len(atoms_set) != len(declared):
                 raise CarrierMismatchError("carrier atoms must be distinct")
             stray = union - atoms_set
@@ -146,9 +151,6 @@ class Hypergraph:
                 unused = sorted(atoms_set - union)
                 raise CarrierMismatchError(
                     f"carrier is not the union of the members; unused atoms: {unused}")
-        for a in atoms_set:
-            if not isinstance(a, str) or not a:
-                raise HypergraphError(f"atoms must be nonempty strings, got {a!r}")
         atoms = tuple(sorted(atoms_set))
         index = {a: i for i, a in enumerate(atoms)}
         masks = {sum(1 << index[a] for a in fam) for fam in fams}
@@ -293,9 +295,15 @@ def from_json(text: str) -> Hypergraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise HypergraphError(f"invalid JSON: {exc}") from exc
+    shape = 'expected {"carrier": [...], "members": [[...], ...]}'
     if not isinstance(doc, dict) or "carrier" not in doc or "members" not in doc:
-        raise HypergraphError('expected {"carrier": [...], "members": [[...], ...]}')
-    return Hypergraph.from_sets(doc["members"], carrier=doc["carrier"])
+        raise HypergraphError(shape)
+    carrier, members = doc["carrier"], doc["members"]
+    # a JSON string would otherwise be read as a list of one-letter atoms
+    if not isinstance(carrier, list) or not isinstance(members, list) \
+            or not all(isinstance(m, list) for m in members):
+        raise HypergraphError(shape)
+    return Hypergraph.from_sets(members, carrier=carrier)
 
 
 def to_text(h: Hypergraph) -> str:

@@ -77,10 +77,13 @@ def _solve(members: frozenset[int], carrier: int, km: frozenset[int],
     if size == 1:
         out[carrier.bit_length() - 1] = 3
         return
-    assert carrier in km, "block construction must contain its carrier"
+    if carrier not in km:
+        raise NestohedraError(
+            "internal error: block construction must contain its carrier")
     proper = [m for m in km if m != carrier]
     s_mask = carrier & ~family_union(proper)
-    assert s_mask and s_mask & (s_mask - 1) == 0, "superficial atom not unique"
+    if not s_mask or s_mask & (s_mask - 1):
+        raise NestohedraError("internal error: superficial atom not unique")
     rest = carrier ^ s_mask
     sub_members = members_within(members, rest)
     for comp in family_components(sub_members):
@@ -90,7 +93,8 @@ def _solve(members: frozenset[int], carrier: int, km: frozenset[int],
     total = sum(out[i] for i in bits_of(rest))
     x_s = 3 ** size - total
     # the peeled coordinate always clears the next-lower level
-    assert x_s > 3 ** (size - 1)
+    if x_s <= 3 ** (size - 1):
+        raise NestohedraError("internal error: peeled coordinate too small")
     out[s_mask.bit_length() - 1] = x_s
 
 

@@ -121,6 +121,17 @@ class TestErrors:
         path.write_text("x\nx\n")
         assert run(["info", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        '{"carrier": ["x"], "members": [5]}',
+        '{"carrier": ["x"], "members": [[["x"]]]}',
+        '{"carrier": "xy", "members": [["x"], ["y"]]}',
+    ])
+    def test_malformed_json_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert run(["info", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert run(["frobnicate"]) == 2
 

@@ -236,6 +236,36 @@ class TestFormats:
         with pytest.raises(DuplicateMemberError):
             from_json('{"carrier": ["x"], "members": [["x"], ["x"]]}')
 
+    def test_json_non_list_member_rejected(self):
+        from nestohedra.errors import HypergraphError
+        with pytest.raises(HypergraphError, match="member"):
+            from_json('{"carrier": ["x"], "members": [5]}')
+
+    def test_json_nested_member_rejected(self):
+        from nestohedra.errors import HypergraphError
+        with pytest.raises(HypergraphError, match="collections of atom names"):
+            from_json('{"carrier": ["x"], "members": [[["x"]]]}')
+
+    def test_json_string_carrier_rejected(self):
+        from nestohedra.errors import HypergraphError
+        with pytest.raises(HypergraphError, match="carrier"):
+            from_json('{"carrier": "xy", "members": [["x"], ["y"]]}')
+
+    def test_json_string_member_rejected(self):
+        from nestohedra.errors import HypergraphError
+        with pytest.raises(HypergraphError, match="member"):
+            from_json('{"carrier": ["x", "y"], "members": ["xy", ["x"], ["y"]]}')
+
+    def test_non_collection_member_rejected(self):
+        from nestohedra.errors import HypergraphError
+        with pytest.raises(HypergraphError, match="collections of atom names"):
+            Hypergraph.from_sets([5])
+
+    def test_non_string_atoms_rejected_before_comparison(self):
+        from nestohedra.errors import HypergraphError
+        with pytest.raises(HypergraphError, match="atoms must be nonempty strings"):
+            Hypergraph.from_sets([[5, "y"]], carrier=["x"])
+
     def test_text_unrepresentable_atom(self):
         from nestohedra.errors import HypergraphError
         h = Hypergraph.from_sets([{"a,b"}])

@@ -1,9 +1,20 @@
 """Oracle-vs-oracle checks for the low-level machinery: each fast
 implementation is replayed against a naive one on random inputs."""
 
+import ast
+import inspect
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import pytest
+
+import nestohedra
 from nestohedra import (
     Hypergraph,
     abstract_polytope,
@@ -12,10 +23,12 @@ from nestohedra import (
     f_vector,
     face_lattice_isomorphic,
     poset_isomorphic,
+    realize,
     verify_axioms,
     verify_inductive,
 )
-from nestohedra.constructions import antichains_all_miss
+from nestohedra.constructions import _forest_sterm, _ftree, antichains_all_miss
+from nestohedra.realization import _solve
 from nestohedra.hypergraph import family_components
 
 
@@ -142,3 +155,26 @@ class TestCarrierFive:
         assert f_vector(p) == (120, 240, 150, 30)
         assert verify_axioms(p).ok and verify_inductive(p).ok
         assert face_lattice_isomorphic(h).ok
+
+
+class TestInvariantsUnderOptimize:
+    """Internal invariants raise ``NestohedraError``; an ``assert`` would
+    vanish under ``python -O``."""
+
+    @pytest.mark.parametrize("fn", [_ftree, _forest_sterm, _solve])
+    def test_no_assert_statements(self, fn):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+    def test_realize_under_optimize(self):
+        name = "H'_4321"
+        code = ("import json; from nestohedra import catalog_lookup, realize; "
+                f"rp = realize(catalog_lookup({name!r}).hypergraph); "
+                "print(json.dumps([__debug__, [list(c) for _, c in rp.vertices]]))")
+        env = dict(os.environ, PYTHONPATH=str(Path(nestohedra.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        debug, vertices = json.loads(run.stdout)
+        assert debug is False
+        assert vertices == [list(c) for _, c in
+                            realize(catalog_lookup(name).hypergraph).vertices]

@@ -1,0 +1,343 @@
+"""The bitset face-poset builder and the axiom checkers against the
+pairwise definitions they replace.
+
+``_pairwise`` is the O(F²) reference: one order test per ordered pair
+of faces, exactly as the order is defined (a construct lies below every
+construct it contains, and the bottom lies below everything).  It is a
+test oracle only; the library builds the order from member bitsets.
+"""
+
+import random
+from itertools import combinations, compress, repeat
+
+import pytest
+
+from nestohedra import (
+    BOTTOM,
+    FacePoset,
+    Hypergraph,
+    abstract_polytope,
+    catalog,
+    enumerate_constructs,
+    face_label,
+    facet_section,
+    is_atomic,
+    otimes,
+    section,
+    verify_axioms,
+    verify_inductive,
+)
+from nestohedra.facelattice import _induced
+
+from helpers import all_asc_hypergraphs, negative_posets, paper_a
+
+
+def _reverse_inclusion(a, b):
+    if a is BOTTOM:
+        return True
+    if b is BOTTOM:
+        return False
+    return b <= a
+
+
+def _pairwise(faces_ranks, leq=_reverse_inclusion):
+    items = sorted(faces_ranks, key=lambda fr: (fr[1], face_label(fr[0])))
+    faces = [f for f, _ in items]
+    bits = [1 << j for j in range(len(faces))]
+    above = [bits[i] | sum(compress(bits, map(leq, repeat(f), faces)))
+             for i, f in enumerate(faces)]
+    return faces, [r for _, r in items], above
+
+
+def assert_matches(p, faces_ranks, leq=_reverse_inclusion):
+    faces, ranks, above = _pairwise(faces_ranks, leq)
+    assert list(p.faces) == faces
+    assert list(p.ranks) == ranks
+    assert list(p._above) == above
+
+
+def construct_faces(h):
+    n = h.n_atoms
+    return [(BOTTOM, -1)] + [(c, n - len(c)) for c in enumerate_constructs(h)]
+
+
+def graph(kind, n):
+    v = "abcdef"[:n]
+    if kind == "path":
+        edges = [(v[i], v[i + 1]) for i in range(n - 1)]
+    elif kind == "cycle":
+        edges = [(v[i], v[(i + 1) % n]) for i in range(n)]
+    elif kind == "star":
+        edges = [(v[0], v[i]) for i in range(1, n)]
+    else:
+        edges = list(combinations(v, 2))
+    # a cycle on one or two vertices is its path
+    edges = {frozenset(e) for e in edges if e[0] != e[1]}
+    return Hypergraph.from_sets([{a} for a in v] + list(edges))
+
+
+def random_atomic(rng, k):
+    atoms = "abcdef"[:k]
+    bigger = [frozenset(c) for r in range(2, k + 1) for c in combinations(atoms, r)]
+    extra = rng.sample(bigger, rng.randint(1, 4))
+    return Hypergraph.from_sets([{a} for a in atoms] + extra)
+
+
+class TestAbstractPolytope:
+    def test_every_catalog_entry(self):
+        for e in catalog():
+            h = e.hypergraph
+            if is_atomic(h):
+                assert_matches(abstract_polytope(h), construct_faces(h))
+
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_graph_nestohedra(self, kind, n):
+        h = graph(kind, n)
+        assert_matches(abstract_polytope(h), construct_faces(h))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_atomic_hypergraphs(self, seed):
+        rng = random.Random(seed)
+        h = random_atomic(rng, 5 + seed % 2)
+        assert_matches(abstract_polytope(h), construct_faces(h))
+
+    def test_empty_hypergraph(self):
+        h = Hypergraph.from_sets([])
+        assert_matches(abstract_polytope(h), construct_faces(h))
+
+
+class TestDerivedPosets:
+    def test_facet_sections(self):
+        for h in list(all_asc_hypergraphs(4))[::7]:
+            carrier = frozenset(h.atoms)
+            for y in h.member_sets - {carrier}:
+                faces = [(f, r) for f, r in construct_faces(h)
+                         if f is BOTTOM or y in f]
+                assert_matches(facet_section(h, y), faces)
+
+    def test_otimes(self):
+        left = [abstract_polytope(graph(kind, 3)) for kind in ("path", "complete")]
+        right = Hypergraph.from_sets([{"x"}, {"y"}, {"z"}, {"x", "y"}, {"y", "z"}])
+        posets = [abstract_polytope(right),
+                  abstract_polytope(Hypergraph.from_sets([{"u"}]))]
+        for a in left:
+            for b in posets:
+                parts = [[(f, r) for f, r in zip(p.faces, p.ranks) if f is not BOTTOM]
+                         for p in (a, b)]
+                faces = [(BOTTOM, -1)] + [(fa | fb, ra + rb)
+                                          for fa, ra in parts[0] for fb, rb in parts[1]]
+                assert_matches(otimes(a, b), faces)
+
+    def test_sections(self):
+        for p in (abstract_polytope(paper_a()), abstract_polytope(graph("cycle", 4))):
+            for fi in range(len(p.faces)):
+                for gi in range(len(p.faces)):
+                    if not p._above[fi] >> gi & 1:
+                        continue
+                    shift = p.ranks[fi] + 1
+                    keep = [i for i in range(len(p.faces))
+                            if p._above[fi] >> i & 1 and p._above[i] >> gi & 1]
+                    faces = [(p.faces[i], p.ranks[i] - shift) for i in keep]
+                    got = section(p, p.faces[gi], p.faces[fi])
+                    assert_matches(got, faces, p.leq)
+
+    def test_induced_sub_order_of_hand_built_posets(self):
+        for _, p in negative_posets():
+            for drop in range(len(p.faces)):
+                keep = [i for i in range(len(p.faces)) if i != drop]
+                faces = [(p.faces[i], p.ranks[i]) for i in keep]
+                got = _induced(p, ((1 << len(p.faces)) - 1) & ~(1 << drop))
+                assert_matches(got, faces, p.leq)
+
+
+# ---------------------------------------------------------------------------
+# checker reports
+# ---------------------------------------------------------------------------
+
+# Reports of the pairwise-built negative corpus under the all-pairs flag walk
+# and the whole-set connectivity walk: p1..p4, rank, flags_checked,
+# sections_checked, counterexamples.
+REFERENCE_REPORTS = {
+    'associahedron minus an edge face': (
+        (True, True, True, False, 3, 80, 24, (
+            ('P4', ('{{u},{u,z},{u,y,z},{u,x,y,z}}',
+                    '{{u,y,z},{u,x,y,z}}',
+                    '1 between')),
+            ('P4', ('{{u},{u,z},{u,y,z},{u,x,y,z}}', '{{u,z},{u,x,y,z}}', '1 between')),
+            ('P4', ('{{z},{u,z},{u,y,z},{u,x,y,z}}',
+                    '{{u,y,z},{u,x,y,z}}',
+                    '1 between')),
+            ('P4', ('{{z},{u,z},{u,y,z},{u,x,y,z}}', '{{u,z},{u,x,y,z}}', '1 between')),
+        )),
+        (True, True, True, False, 3, 0, 30, (
+            ('bivalence', ('{{u,y,z},{u,x,y,z}}',
+                           '{{u},{u,z},{u,y,z},{u,x,y,z}}',
+                           'in 1 facets')),
+            ('bivalence', ('{{u,y,z},{u,x,y,z}}',
+                           '{{z},{u,z},{u,y,z},{u,x,y,z}}',
+                           'in 1 facets')),
+            ('bivalence', ('{{u,z},{u,x,y,z}}',
+                           '{{u},{u,z},{u,y,z},{u,x,y,z}}',
+                           'in 1 facets')),
+            ('bivalence', ('{{u,z},{u,x,y,z}}',
+                           '{{z},{u,z},{u,y,z},{u,x,y,z}}',
+                           'in 1 facets')),
+        )),
+    ),
+    'associahedron minus a vertex face': (
+        (True, True, True, False, 3, 78, 23, (
+            ('P4', ('F-1', '{{u,z},{u,y,z},{u,x,y,z}}', '1 between')),
+            ('P4', ('F-1', '{{u},{u,y,z},{u,x,y,z}}', '1 between')),
+            ('P4', ('F-1', '{{u},{u,z},{u,x,y,z}}', '1 between')),
+        )),
+        (True, True, True, False, 3, 0, 31, (
+            ('bivalence', ('{{u,z},{u,y,z},{u,x,y,z}}', 'F-1', 'in 1 facets')),
+            ('bivalence', ('{{u},{u,y,z},{u,x,y,z}}', 'F-1', 'in 1 facets')),
+            ('bivalence', ('{{u},{u,z},{u,x,y,z}}', 'F-1', 'in 1 facets')),
+        )),
+    ),
+    'two triangles sharing a vertex': (
+        (True, True, True, False, 2, 12, 1, (
+            ('P4', ('a', 'top', '4 between')),
+        )),
+        (True, True, True, False, 2, 0, 7, (
+            ('bivalence', ('top', 'a', 'in 4 facets')),
+        )),
+    ),
+    'vertex directly under the top': (
+        (True, False, False, False, 2, 2, 1, (
+            ('P2', ('top', 'length 3')),
+            ('P3', ('bot', 'top')),
+            ('P4', ('bot', 'e', '1 between')),
+            ('P4', ('v', 'top', '1 between')),
+            ('P4', ('w', 'top', '0 between')),
+        )),
+        (True, False, True, False, 2, 0, 2, (
+            ('bivalence', ('e', 'bot', 'in 1 facets')),
+            ('facet-coverage', ('top', 'w')),
+            ('bivalence', ('top', 'v', 'in 1 facets')),
+            ('bivalence', ('top', 'w', 'in 0 facets')),
+        )),
+    ),
+    'two maximal faces': (
+        (False, True, True, True, 0, 2, 0, (
+            ('P1', ('bot',)),
+        )),
+        (False, True, True, True, 0, 0, 0, (
+            ('bounds', ('bot',)),
+        )),
+    ),
+    'one-vertex segment': (
+        (True, True, True, False, 1, 1, 0, (
+            ('P4', ('bot', 'top', '1 between')),
+        )),
+        (True, True, True, False, 1, 0, 1, (
+            ('bivalence', ('top', 'bot', 'in 1 facets')),
+        )),
+    ),
+}
+
+
+def _summary(r):
+    return (r.p1_ok, r.p2_ok, r.p3_ok, r.p4_ok, r.rank, r.flags_checked,
+            r.sections_checked, r.counterexamples)
+
+
+def test_negative_corpus_reports_unchanged():
+    corpus = dict(negative_posets())
+    assert corpus.keys() == REFERENCE_REPORTS.keys()
+    for name, (axioms, inductive) in REFERENCE_REPORTS.items():
+        p = corpus[name]
+        assert _summary(verify_axioms(p)) == axioms, name
+        assert _summary(verify_inductive(p)) == inductive, name
+
+
+def _walked_flags(p):
+    """Every maximal chain along covers, walked one by one: the number
+    of chains and the first one, depth first, of the wrong length."""
+    ups = [[] for _ in p.faces]
+    for a, b in p.covers():
+        ups[a].append(b)
+    minimals = [i for i in range(len(p.faces)) if p._below[i] == 1 << i]
+    count, first_bad = 0, None
+    stack = [(i, 1) for i in minimals]
+    while stack:
+        i, length = stack.pop()
+        if ups[i]:
+            stack += [(j, length + 1) for j in ups[i]]
+            continue
+        count += 1
+        if length != p.rank + 2 and first_bad is None:
+            first_bad = ("P2", (face_label(p.faces[i]), f"length {length}"))
+    return count, first_bad
+
+
+def _disconnected_sections(p):
+    """Sections of rank >= 2 whose inner faces are not connected, by a
+    walk over every inner face."""
+    out = []
+    for f in range(len(p.faces)):
+        for g in range(len(p.faces)):
+            if not p._above[f] >> g & 1 or p.ranks[g] - p.ranks[f] < 3:
+                continue
+            nodes = p._above[f] & p._below[g] & ~(1 << f) & ~(1 << g)
+            if nodes.bit_count() <= 1:
+                continue
+            reached = nodes & -nodes
+            while True:
+                grow = reached
+                for u in range(len(p.faces)):
+                    if reached >> u & 1:
+                        grow |= (p._above[u] | p._below[u]) & nodes
+                if grow == reached:
+                    break
+                reached = grow
+            if reached != nodes:
+                out.append(("P3", (face_label(p.faces[f]), face_label(p.faces[g]))))
+    return out
+
+
+def random_ranked_poset(rng):
+    """Faces on ranks -1 .. top, each covering a random nonempty set of
+    faces one rank down, sometimes also one face two ranks down."""
+    top = rng.randint(2, 4)
+    layers = [["r-1_0"]]
+    covers = []
+    for rk in range(top + 1):
+        width = 1 if rk == top else rng.randint(1, 4)
+        layer = [f"r{rk}_{i}" for i in range(width)]
+        for face in layer:
+            below = layers[-1]
+            for low in rng.sample(below, rng.randint(1, len(below))):
+                covers.append((low, face))
+            if len(layers) > 1 and rng.random() < 0.2:
+                covers.append((rng.choice(layers[-2]), face))
+        layers.append(layer)
+    faces = [(face, int(face[1:].split("_")[0])) for layer in layers for face in layer]
+    return FacePoset.from_covers(faces, covers)
+
+
+def test_flag_counts_of_polytopes_match_walk():
+    posets = [abstract_polytope(e.hypergraph) for e in catalog()
+              if is_atomic(e.hypergraph)]
+    posets += [abstract_polytope(graph(kind, 5))
+               for kind in ("path", "cycle", "star", "complete")]
+    for p in posets:
+        r = verify_axioms(p)
+        assert r.ok
+        assert r.flags_checked == _walked_flags(p)[0]
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_flag_counts_and_connectivity_match_walks(seed):
+    p = random_ranked_poset(random.Random(seed))
+    r = verify_axioms(p)
+    count, first_bad = _walked_flags(p)
+    assert r.flags_checked == count
+    assert [c for c in r.counterexamples if c[0] == "P2"] == \
+        ([first_bad] if first_bad else [])
+    assert r.p2_ok == (first_bad is None)
+    p3 = _disconnected_sections(p)
+    assert [c for c in r.counterexamples if c[0] == "P3"] == p3
+    assert r.p3_ok == (not p3)
