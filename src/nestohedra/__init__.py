@@ -6,7 +6,7 @@ from .hypergraph import (
     Carrier,
     Family,
     Hypergraph,
-    HypergraphPartition,
+    census,
     finest_partition,
     from_json,
     from_text,
@@ -16,7 +16,6 @@ from .hypergraph import (
     restriction,
     to_json,
     to_text,
-    validate,
 )
 from .saturation import (
     CognateClassSummary,
@@ -58,7 +57,6 @@ from .facelattice import (
     meet,
     otimes,
     poset_isomorphic,
-    rank_counts,
     section,
 )
 from .axioms import VerificationReport, verify_axioms, verify_inductive

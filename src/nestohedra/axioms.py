@@ -75,20 +75,26 @@ def _well_formed(p: FacePoset) -> None:
                     f"to {face_label(p.faces[j])}")
 
 
-def _bounds(p: FacePoset) -> tuple[list[int], list[int]]:
+def _preamble(p: FacePoset, label: str) -> tuple[
+        bool, list[tuple[str, tuple[str, ...]]], dict[int, int]]:
+    """The checks both checkers start with: a well-formed order, then a
+    unique least and greatest face.  Returns that verdict, the
+    counterexamples (up to four least and greatest faces under ``label``
+    on failure) and the bitmask of the faces of each rank."""
+    _well_formed(p)
     n = len(p.faces)
     full = (1 << n) - 1
     bottoms = [i for i in range(n) if p._above[i] == full]
     tops = [i for i in range(n) if p._below[i] == full]
-    return bottoms, tops
-
-
-def _rank_masks(p: FacePoset) -> dict[int, int]:
-    """Bitmask of the faces of each rank."""
-    masks: dict[int, int] = {}
+    counter: list[tuple[str, tuple[str, ...]]] = []
+    bounded = len(bottoms) == 1 and len(tops) == 1
+    if not bounded:
+        witness = tuple(face_label(p.faces[i]) for i in (bottoms + tops)[:4])
+        counter.append((label, witness))
+    rank_mask: dict[int, int] = {}
     for i, rk in enumerate(p.ranks):
-        masks[rk] = masks.get(rk, 0) | 1 << i
-    return masks
+        rank_mask[rk] = rank_mask.get(rk, 0) | 1 << i
+    return bounded, counter, rank_mask
 
 
 def _interval_connected(p: FacePoset, f: int, g: int,
@@ -123,16 +129,9 @@ def _interval_connected(p: FacePoset, f: int, g: int,
 def verify_axioms(p: FacePoset) -> VerificationReport:
     """Check the least/greatest, flag-length, strong-connectedness and
     diamond properties, reporting witnesses for each failure."""
-    _well_formed(p)
+    p1, counter, rank_mask = _preamble(p, "P1")
     n = len(p.faces)
-    counter: list[tuple[str, tuple[str, ...]]] = []
     r = p.rank
-
-    bottoms, tops = _bounds(p)
-    p1 = len(bottoms) == 1 and len(tops) == 1
-    if not p1:
-        witness = tuple(face_label(p.faces[i]) for i in (bottoms + tops)[:4])
-        counter.append(("P1", witness))
 
     # flags: maximal chains along covers from the minimal faces.  Each
     # face keeps the lengths of the chains from it to a maximal face,
@@ -168,7 +167,6 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
         counter.append(("P2", (face_label(p.faces[i]), f"length {depth}")))
 
     # strong connectedness: only sections of rank >= 2 need the walk
-    rank_mask = _rank_masks(p)
     rank_at_least: dict[int, int] = {}
     acc = 0
     for rk in range(r, min(p.ranks, default=r) - 1, -1):
@@ -211,20 +209,12 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
     shared rank k-2 faces (p3, close connectedness).  Rank -1 and 0
     down-sets must be the one- and two-face base posets.
     """
-    _well_formed(p)
+    p1, counter, rank_mask = _preamble(p, "bounds")
     n = len(p.faces)
-    counter: list[tuple[str, tuple[str, ...]]] = []
     r = p.rank
-
-    bottoms, tops = _bounds(p)
-    p1 = len(bottoms) == 1 and len(tops) == 1
-    if not p1:
-        witness = tuple(face_label(p.faces[i]) for i in (bottoms + tops)[:4])
-        counter.append(("bounds", witness))
 
     p2 = p3 = p4 = True
     sections_checked = 0
-    rank_mask = _rank_masks(p)
 
     for i in sorted(range(n), key=lambda i: p.ranks[i]):
         rk = p.ranks[i]

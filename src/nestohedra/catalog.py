@@ -17,7 +17,7 @@ from importlib import resources
 
 from .errors import UnknownNameError
 from .facelattice import abstract_polytope, f_vector
-from .hypergraph import Hypergraph, from_text, is_connected
+from .hypergraph import Hypergraph, census, from_text, is_connected
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,10 @@ def _normalize(name: str) -> str:
 
 
 def _census_ok(name: str, h: Hypergraph) -> bool:
-    digits = [int(c) for c in name.split("_")[1]]
-    by_size: dict[int, int] = {}
-    for m in h.members:
-        k = m.bit_count()
-        by_size[k] = by_size.get(k, 0) + 1
-    if digits == [0]:
-        return not h.members
-    if h.n_atoms != digits[0]:
-        return False
-    if max(by_size, default=0) > len(digits):
-        return False
-    return all(by_size.get(j + 1, 0) == d for j, d in enumerate(digits))
+    digits = tuple(int(c) for c in name.split("_")[1])
+    counts = census(h)
+    padded = counts + (0,) * (len(digits) - len(counts))
+    return h.n_atoms == digits[0] and padded == digits
 
 
 @lru_cache(maxsize=None)

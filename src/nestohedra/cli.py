@@ -29,11 +29,13 @@ from .constructions import (
 from .errors import NestohedraError, UnknownNameError
 from .hypergraph import (
     Hypergraph,
+    census,
     finest_partition,
     from_json,
     from_text,
     is_atomic,
     is_connected,
+    set_sort_key,
 )
 from .saturation import is_saturated, saturated_closure
 from .tubings import graph_from_text, tubings_equal_constructs
@@ -67,21 +69,13 @@ def _load(source: str) -> tuple[str, Hypergraph]:
     return source, from_text(text)
 
 
-def _census(h: Hypergraph) -> str:
-    by_size: dict[int, int] = {}
-    for m in h.members:
-        by_size[m.bit_count()] = by_size.get(m.bit_count(), 0) + 1
-    top = max(by_size, default=0)
-    return ",".join(str(by_size.get(k, 0)) for k in range(1, top + 1)) or "0"
-
-
 def _cmd_info(args) -> int:
     name, h = _load(args.source)
     p = fl.abstract_polytope(h) if is_atomic(h) else None
     print(f"name: {name}")
     print(f"carrier: {','.join(h.atoms) if h.atoms else '(empty)'}")
     print(f"members: {len(h.members)}")
-    print(f"census: {_census(h)}")
+    print(f"census: {','.join(map(str, census(h))) or '0'}")
     print(f"atomic: {'yes' if is_atomic(h) else 'no'}")
     print(f"connected: {'yes' if is_connected(h) else 'no'}")
     print(f"saturated: {'yes' if is_saturated(h) else 'no'}")
@@ -154,8 +148,7 @@ def _cmd_verify(args) -> int:
             want = set(enumerate_constructions(block))
             size = block.n_atoms
             got = set()
-            for m in combinations(sorted(block.member_sets,
-                                         key=lambda s: (len(s), tuple(sorted(s)))),
+            for m in combinations(sorted(block.member_sets, key=set_sort_key),
                                   size):
                 fam = frozenset(m)
                 if is_construction(block, fam):
@@ -264,3 +257,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -24,7 +24,8 @@ from .errors import (
     NotComparableError,
     NotFacetError,
 )
-from .hypergraph import AtomSet, Family, Hypergraph, bits_of, quotient, restriction
+from .hypergraph import (AtomSet, Family, Hypergraph, bits_of, quotient,
+                         restriction, set_sort_key)
 from .constructions import (
     _ensure_asc,
     enumerate_constructs,
@@ -50,7 +51,7 @@ def face_label(face: Face) -> str:
     if face is BOTTOM:
         return "F-1"
     if isinstance(face, frozenset) and all(isinstance(m, frozenset) for m in face):
-        members = sorted(face, key=lambda m: (len(m), tuple(sorted(m))))
+        members = sorted(face, key=set_sort_key)
         return "{" + ",".join("{%s}" % ",".join(sorted(m)) for m in members) + "}"
     return str(face)
 
@@ -236,18 +237,7 @@ def abstract_polytope(h: Hypergraph) -> FacePoset:
 
 def f_vector(p: FacePoset) -> tuple[int, ...]:
     """Face counts from vertices up to facets (ranks 0 .. rank-1)."""
-    counts: dict[int, int] = {}
-    for r in p.ranks:
-        counts[r] = counts.get(r, 0) + 1
-    return tuple(counts.get(k, 0) for k in range(p.rank))
-
-
-def rank_counts(p: FacePoset) -> dict[int, int]:
-    """Face counts for every rank, bottom and top included."""
-    counts: dict[int, int] = {}
-    for r in p.ranks:
-        counts[r] = counts.get(r, 0) + 1
-    return counts
+    return tuple(p.ranks.count(k) for k in range(p.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +452,7 @@ def to_json_dict(p: FacePoset) -> dict:
     faces = []
     for i, f in enumerate(p.faces):
         members = None if f is BOTTOM else [
-            sorted(m) for m in sorted(f, key=lambda m: (len(m), tuple(sorted(m))))]
+            sorted(m) for m in sorted(f, key=set_sort_key)]
         faces.append({"id": i, "rank": p.ranks[i],
                       "label": face_label(f), "members": members})
     return {"faces": faces, "covers": [list(c) for c in sorted(p.covers())]}

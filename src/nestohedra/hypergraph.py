@@ -6,13 +6,15 @@ every subset is an int bitmask over the sorted atom tuple, which keeps
 the enumeration loops that dominate this package cheap.  Python ints are
 unbounded, so one representation covers carriers of any size.
 
+The canonical member order (``mask_sort_key``, ``set_sort_key``) and
+the member ``census`` by size are defined here for every other module.
+
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -91,6 +93,12 @@ def mask_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Canonical subset order: cardinality first, then index-lexicographic."""
     idx = tuple(bits_of(mask))
     return (len(idx), idx)
+
+
+def set_sort_key(s: AtomSet) -> tuple[int, tuple[str, ...]]:
+    """Canonical order on atom-name sets: cardinality first, then the
+    sorted atom names."""
+    return (len(s), tuple(sorted(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +214,9 @@ class Hypergraph:
         return f"Hypergraph[{','.join(self.atoms)}]{{{mem}}}"
 
 
-@dataclass(frozen=True)
-class HypergraphPartition:
-    """A set of sub-hypergraphs whose member families and carriers both
-    partition the original hypergraph."""
-
-    blocks: frozenset[Hypergraph]
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-
 # ---------------------------------------------------------------------------
 # core operations
 # ---------------------------------------------------------------------------
-
-def validate(carrier: Iterable[str], members: Iterable[Iterable[str]]) -> Hypergraph:
-    """Check a declared carrier/member listing and return the hypergraph."""
-    return Hypergraph.from_sets(members, carrier=carrier)
-
 
 def is_connected(h: Hypergraph) -> bool:
     """True when ``h`` has a single hypergraph partition.
@@ -238,13 +227,23 @@ def is_connected(h: Hypergraph) -> bool:
     return len(family_components(h.members)) <= 1
 
 
-def finest_partition(h: Hypergraph) -> HypergraphPartition:
-    """The unique partition of ``h`` into connected blocks."""
+def finest_partition(h: Hypergraph) -> frozenset[Hypergraph]:
+    """The unique partition of ``h`` into connected blocks; their member
+    families and carriers both partition those of ``h``."""
     blocks = []
     for comp in family_components(h.members):
         names = [h.atom_set(m) for m in comp]
         blocks.append(Hypergraph.from_sets(names))
-    return HypergraphPartition(frozenset(blocks))
+    return frozenset(blocks)
+
+
+def census(h: Hypergraph) -> tuple[int, ...]:
+    """Member counts by cardinality 1, 2, ..., up to the largest member;
+    ``()`` for the empty hypergraph."""
+    counts = [0] * max((m.bit_count() for m in h.members), default=0)
+    for m in h.members:
+        counts[m.bit_count() - 1] += 1
+    return tuple(counts)
 
 
 def is_atomic(h: Hypergraph) -> bool:

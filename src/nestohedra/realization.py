@@ -38,6 +38,7 @@ from .hypergraph import (
     is_atomic,
     mask_sort_key,
     members_within,
+    set_sort_key,
 )
 from .saturation import saturated_closure
 
@@ -240,7 +241,7 @@ def face_lattice_isomorphic(h: Hypergraph) -> LatticeIsomorphism:
 
     geometric: set[frozenset] = set()
     for fv in vertex_keys:
-        items = sorted(fv, key=lambda s: (len(s), tuple(sorted(s))))
+        items = sorted(fv, key=set_sort_key)
         for bits in range(1 << len(items)):
             geometric.add(frozenset(items[i] for i in range(len(items))
                                     if bits >> i & 1))
@@ -338,8 +339,7 @@ def to_json_dict(rp: RealizedPolytope) -> dict:
         "atoms": list(rp.atoms),
         "vertices": [
             {
-                "construction": [sorted(m) for m in
-                                 sorted(fam, key=lambda m: (len(m), tuple(sorted(m))))],
+                "construction": [sorted(m) for m in sorted(fam, key=set_sort_key)],
                 "coords": list(coords),
             }
             for fam, coords in rp.vertices

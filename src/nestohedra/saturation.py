@@ -6,6 +6,9 @@ dispensable members never changes which subsets are connected, and the
 hypergraphs reachable that way form one cognate class.  Each class is a
 lattice whose greatest element (the saturated closure) is closed under
 unions of intersecting members and whose least element is bare.
+
+The closure and the dispensable-subset listing share one walk over the
+carrier subsets of two or more atoms, smaller subsets first.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CarrierMismatchError, NotSubsetError
 from .hypergraph import (
@@ -55,6 +58,17 @@ def is_dispensable(h: Hypergraph, y: Iterable[str]) -> bool:
     return _dispensable_mask(h.members, h.mask(ys))
 
 
+def _subsets_of_two_or_more(n: int) -> Iterator[int]:
+    """Masks of the subsets of ``range(n)`` with at least two elements,
+    by increasing cardinality."""
+    for size in range(2, n + 1):
+        for combo in combinations(range(n), size):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            yield mask
+
+
 @lru_cache(maxsize=None)
 def saturated_closure(h: Hypergraph) -> Hypergraph:
     """Least fixpoint of adding every dispensable subset.
@@ -64,16 +78,11 @@ def saturated_closure(h: Hypergraph) -> Hypergraph:
     pass suffices because only strictly smaller members can witness Y.
     """
     current = set(h.members)
-    n = h.n_atoms
-    for size in range(2, n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if mask in current:
-                continue
-            if family_is_connected(members_within(current, mask), mask):
-                current.add(mask)
+    for mask in _subsets_of_two_or_more(h.n_atoms):
+        if mask in current:
+            continue
+        if family_is_connected(members_within(current, mask), mask):
+            current.add(mask)
     return Hypergraph(h.atoms, current)
 
 
@@ -109,14 +118,9 @@ def dispensable_subsets(h: Hypergraph) -> frozenset[AtomSet]:
     every member of the cognate class.
     """
     out = []
-    n = h.n_atoms
-    for size in range(2, n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if _dispensable_mask(h.members, mask):
-                out.append(h.atom_set(mask))
+    for mask in _subsets_of_two_or_more(h.n_atoms):
+        if _dispensable_mask(h.members, mask):
+            out.append(h.atom_set(mask))
     return frozenset(out)
 
 

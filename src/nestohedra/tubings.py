@@ -120,6 +120,16 @@ def is_loose(g: GraphHypergraph) -> tuple[bool, frozenset[AtomSet]]:
     return len(comps) >= 2, blocks
 
 
+def _clash(a: int, b: int, members: frozenset[int]) -> bool:
+    """Are the member masks ``a`` and ``b`` overlapping (intersecting,
+    neither inside the other) or adjacent (disjoint, with a member as
+    their union)?  No tubing holds such a pair."""
+    c = a & b
+    if c:
+        return c != a and c != b
+    return (a | b) in members
+
+
 def is_tubing(g: GraphHypergraph, t: Iterable[Iterable[str]]) -> bool:
     """Pairwise non-overlapping and non-adjacent members of the graph,
     containing the full vertex set, avoiding the whole loose partition."""
@@ -131,11 +141,8 @@ def is_tubing(g: GraphHypergraph, t: Iterable[Iterable[str]]) -> bool:
     masks = sorted(h.mask(s) for s in fam)
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
-            c = a & b
-            if c and c != a and c != b:
-                return False  # overlapping
-            if not c and (a | b) in h.members:
-                return False  # adjacent
+            if _clash(a, b, h.members):
+                return False
     if h.carrier_mask not in masks:
         return False
     loose, blocks = is_loose(g)
@@ -176,15 +183,12 @@ def tubings_equal_constructs(g: GraphHypergraph, cap: int = 6) -> TubingEquivale
         a = others[i]
         for j in range(i + 1, n):
             b = others[j]
-            c = a & b
-            overlapping = bool(c) and c != a and c != b
-            adjacent = not c and (a | b) in h.members
-            if overlapping or adjacent:
+            if _clash(a, b, h.members):
                 pairs_checked += 1
                 # both sides reject any family with this pair: the pair is
                 # incomparable and its union is a member (for overlaps the
                 # closure supplies it)
-                if c == a or c == b or (a | b) not in h.members:
+                if (a & b) in (a, b) or (a | b) not in h.members:
                     raise NestohedraError(
                         "internal error: bad pair is not a failing antichain")
             else:

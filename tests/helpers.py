@@ -146,6 +146,11 @@ def negative_posets() -> list[tuple[str, FacePoset]]:
     covers = [("bot", "a"), ("bot", "b")]
     out.append(("two maximal faces", FacePoset.from_covers(faces, covers)))
 
+    # no least face
+    faces = [("a", -1), ("b", -1), ("v", 0), ("top", 1)]
+    covers = [("a", "v"), ("b", "v"), ("v", "top")]
+    out.append(("no least face", FacePoset.from_covers(faces, covers)))
+
     # a rank-1 polytope with a single vertex
     faces = [("bot", -1), ("a", 0), ("top", 1)]
     covers = [("bot", "a"), ("a", "top")]

@@ -12,6 +12,7 @@ from nestohedra import (
     poset_isomorphic,
     saturated_closure,
 )
+from nestohedra.catalog import _census_ok
 from nestohedra.errors import UnknownNameError
 
 from helpers import frozen, paper_a
@@ -65,6 +66,34 @@ class TestLookup:
         for e in catalog():
             assert is_saturated(e.hypergraph), e.name
             assert e.degenerate == (not is_connected(e.hypergraph))
+
+
+class TestCensusCheck:
+    def test_empty_entry(self):
+        assert _census_ok("H_0", Hypergraph.from_sets([]))
+        assert not _census_ok("H_0", Hypergraph.from_sets([{"x"}]))
+
+    def test_trailing_zeros(self):
+        h = Hypergraph.from_sets([{"x"}, {"y"}, {"z"}, {"u"}, {"x", "y"}])
+        assert _census_ok("H_41", h)
+        assert _census_ok("H_4100", h)
+
+    def test_wrong_atom_count(self):
+        # the member counts (3, 1) match, but there are four atoms
+        h = Hypergraph.from_sets([{"x"}, {"y"}, {"z"}, {"u", "x"}])
+        assert not _census_ok("H_31", h)
+
+    def test_wrong_count_at_one_size(self):
+        h = catalog_lookup("H'_4321").hypergraph
+        assert _census_ok("H_4321", h)
+        assert not _census_ok("H_4331", h)
+        assert not _census_ok("H_4311", h)
+
+    def test_member_larger_than_name_allows(self):
+        h = Hypergraph.from_sets([{"x"}, {"y"}, {"z"}, {"x", "y", "z"}])
+        assert _census_ok("H_301", h)
+        assert not _census_ok("H_30", h)
+        assert not _census_ok("H_3", h)
 
 
 class TestCrossIdentities:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nestohedra
 from nestohedra.cli import run
 
 from helpers import paper_a
@@ -139,3 +144,22 @@ class TestErrors:
         path = tmp_path / "h.hg"
         path.write_text("a\nb\nc\nd\ne\na,b,c,d,e\n")
         assert run(["realize", str(path), "--format", "off"]) == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m nestohedra.cli`` runs the same CLI as the script."""
+
+    def _run_module(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(nestohedra.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "nestohedra.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_info(self):
+        done = self._run_module("info", "H'_4321")
+        assert done.returncode == 0
+        assert "census: 4,3,2,1" in done.stdout
+
+    def test_unknown_source_exits_2(self, tmp_path):
+        done = self._run_module("info", str(tmp_path / "missing.hg"))
+        assert done.returncode == 2
+        assert "error:" in done.stderr

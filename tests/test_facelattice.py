@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -19,7 +20,6 @@ from nestohedra import (
     otimes,
     poset_isomorphic,
     quotient,
-    rank_counts,
     restriction,
     saturated_closure,
     section,
@@ -197,7 +197,9 @@ class TestOtimes:
         p1 = abstract_polytope(Hypergraph.from_sets([{"x"}, {"y"}, {"x", "y"}]))
         p2 = abstract_polytope(Hypergraph.from_sets([{"z"}, {"u"}, {"z", "u"}]))
         prod = otimes(p1, p2)
-        c1, c2, cp = rank_counts(p1), rank_counts(p2), rank_counts(prod)
+        c1 = collections.Counter(p1.ranks)
+        c2 = collections.Counter(p2.ranks)
+        cp = collections.Counter(prod.ranks)
         for k in range(prod.rank + 1):
             assert cp.get(k, 0) == sum(
                 c1.get(i, 0) * c2.get(k - i, 0) for i in range(k + 1))
@@ -354,7 +356,7 @@ class TestSection:
         top = p.top()
         for v in p.faces_of_rank(0):
             s = section(p, top, v)
-            counts = rank_counts(s)
+            counts = collections.Counter(s.ranks)
             # Boolean lattice over the non-top members of the vertex
             assert all(counts.get(k, 0) ==
                        len(list(itertools.combinations(range(3), k + 1)))

@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from nestohedra import (
     Hypergraph,
+    catalog_lookup,
+    census,
     finest_partition,
     from_json,
     from_text,
@@ -12,7 +14,6 @@ from nestohedra import (
     restriction,
     to_json,
     to_text,
-    validate,
 )
 from nestohedra.errors import (
     CarrierMismatchError,
@@ -28,25 +29,26 @@ from helpers import all_atomic_hypergraphs, frozen, paper_a, paper_e
 
 class TestValidate:
     def test_worked_example(self):
-        h = validate("xyzuv", [{"x", "y"}, {"x", "y", "z"}, {"y", "z"}, {"u"}, {"v"}])
+        h = Hypergraph.from_sets([{"x", "y"}, {"x", "y", "z"}, {"y", "z"}, {"u"}, {"v"}],
+                                 carrier="xyzuv")
         assert h == paper_e()
 
     def test_empty_hypergraph(self):
-        h = validate([], [])
+        h = Hypergraph.from_sets([], carrier=[])
         assert h.atoms == () and not h.members
         assert is_connected(h) and is_atomic(h)
 
     def test_empty_member_rejected(self):
         with pytest.raises(EmptyMemberError):
-            validate(["x"], [set(), {"x"}])
+            Hypergraph.from_sets([set(), {"x"}], carrier=["x"])
 
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatchError):
-            validate(["x", "y"], [{"x"}])
+            Hypergraph.from_sets([{"x"}], carrier=["x", "y"])
 
     def test_unknown_atom(self):
         with pytest.raises(UnknownAtomError):
-            validate(["x"], [{"x", "q"}])
+            Hypergraph.from_sets([{"x", "q"}], carrier=["x"])
 
     def test_duplicate_member(self):
         with pytest.raises(DuplicateMemberError):
@@ -54,12 +56,24 @@ class TestValidate:
 
     def test_duplicate_carrier_atom(self):
         with pytest.raises(CarrierMismatchError):
-            validate(["x", "x"], [{"x"}])
+            Hypergraph.from_sets([{"x"}], carrier=["x", "x"])
 
     def test_equality_ignores_input_order(self):
         h1 = Hypergraph.from_sets([{"x"}, {"y"}, {"x", "y"}])
         h2 = Hypergraph.from_sets([{"y", "x"}, {"y"}, {"x"}])
         assert h1 == h2 and hash(h1) == hash(h2)
+
+
+class TestCensus:
+    def test_empty(self):
+        assert census(Hypergraph.from_sets([])) == ()
+
+    def test_associahedron(self):
+        assert census(catalog_lookup("H'_4321").hypergraph) == (4, 3, 2, 1)
+
+    def test_gap_in_sizes(self):
+        h = Hypergraph.from_sets([{"x"}, {"y"}, {"z"}, {"x", "y", "z"}])
+        assert census(h) == (3, 0, 1)
 
 
 class TestConnectivity:

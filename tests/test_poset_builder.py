@@ -228,6 +228,19 @@ REFERENCE_REPORTS = {
             ('bounds', ('bot',)),
         )),
     ),
+    'no least face': (
+        (False, True, True, False, 1, 2, 0, (
+            ('P1', ('top',)),
+            ('P4', ('a', 'top', '1 between')),
+            ('P4', ('b', 'top', '1 between')),
+        )),
+        (False, False, True, False, 1, 0, 1, (
+            ('bounds', ('top',)),
+            ('base-rank-0', ('v',)),
+            ('bivalence', ('top', 'a', 'in 1 facets')),
+            ('bivalence', ('top', 'b', 'in 1 facets')),
+        )),
+    ),
     'one-vertex segment': (
         (True, True, True, False, 1, 1, 0, (
             ('P4', ('bot', 'top', '1 between')),
