@@ -98,7 +98,7 @@ def _preamble(p: FacePoset, label: str) -> tuple[
 
 
 def _interval_connected(p: FacePoset, f: int, g: int,
-                        up: list[int], down: list[int]) -> bool:
+                        up: tuple[int, ...], down: tuple[int, ...]) -> bool:
     """Are the faces strictly between ``f`` and ``g`` connected under
     comparability?  ``up``/``down`` are the cover bitmasks.
 
@@ -136,11 +136,7 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
     # flags: maximal chains along covers from the minimal faces.  Each
     # face keeps the lengths of the chains from it to a maximal face,
     # with their numbers, so no flag is walked one by one.
-    up = [0] * n
-    down = [0] * n
-    for a, b in p.covers():
-        up[a] |= 1 << b
-        down[b] |= 1 << a
+    up, down = p._cover_masks()
     tails: list[dict[int, int]] = [{}] * n
     for i in sorted(range(n), key=lambda i: -p.ranks[i]):
         if not up[i]:

@@ -282,23 +282,40 @@ def _construction_masks(h: Hypergraph, k: Iterable[Iterable[str]]) -> list[int]:
 # forest notation
 # ---------------------------------------------------------------------------
 
-def _ftree(top: int, pool: list[int], h: Hypergraph) -> FTree:
-    proper = [m for m in pool if m != top and m & ~top == 0]
-    root_mask = top & ~family_union(proper)
-    if not root_mask or root_mask & (root_mask - 1):
-        raise NestohedraError("internal error: non-unique root")
-    root = h.atoms[root_mask.bit_length() - 1]
-    children = [m for m in proper
-                if not any(m != o and m & ~o == 0 for o in proper)]
-    return frozenset({root} | {_ftree(c, proper, h) for c in children})
+def _forest(k: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """Parent and root atom of each member mask of a construction.
+
+    The parent of X is the smallest member strictly containing X, or 0
+    when X is a top; X's children are the members whose parent is X.
+    The root is the index of the one atom of X in none of its children.
+    """
+    ms = sorted(k, key=int.bit_count)
+    inner = dict.fromkeys(ms, 0)  # union of the children, smallest first
+    out = {}
+    for i, m in enumerate(ms):
+        root = m & ~inner[m]
+        if not root or root & (root - 1):
+            raise NestohedraError("internal error: non-unique root")
+        parent = next((o for o in ms[i + 1:] if m & ~o == 0), 0)
+        if parent:
+            inner[parent] |= m
+        out[m] = (parent, root.bit_length() - 1)
+    return out
 
 
 def to_f_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> FConstruction:
     """Forest form of a construction: each tree bundles its root atom
     with the set of its child trees."""
-    masks = _construction_masks(h, k)
-    tops = [m for m in masks if not any(m != o and m & ~o == 0 for o in masks)]
-    return frozenset(_ftree(t, masks, h) for t in tops)
+    forest = _forest(_construction_masks(h, k))
+    children: dict[int, list[int]] = {}
+    for m, (parent, _) in forest.items():
+        children.setdefault(parent, []).append(m)
+
+    def tree(m: int) -> FTree:
+        return frozenset({h.atoms[forest[m][1]]}
+                         | {tree(c) for c in children.get(m, ())})
+
+    return frozenset(tree(t) for t in children.get(0, ()))
 
 
 # ---------------------------------------------------------------------------

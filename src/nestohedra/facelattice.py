@@ -60,12 +60,13 @@ class FacePoset:
     """A finite poset with declared integer ranks.
 
     ``_above[i]`` is the bitmask of faces j with face_i <= face_j
-    (including i); ``_below`` is its transpose.  Faces are hashable
+    (including i); ``_below`` is its transpose.  The cover bitmasks are
+    built on first use and kept.  Faces are hashable
     payloads, either ``BOTTOM`` or construct families, but hand-built
     posets may use any hashable labels.
     """
 
-    __slots__ = ("faces", "ranks", "_above", "_below", "_index")
+    __slots__ = ("faces", "ranks", "_above", "_below", "_index", "_covers")
 
     def __init__(self, faces: Sequence[Face], ranks: Sequence[int],
                  above: Sequence[int]):
@@ -81,6 +82,7 @@ class FacePoset:
                 below[low.bit_length() - 1] |= 1 << i
                 m ^= low
         self._below = tuple(below)
+        self._covers: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._index = {}
         for i, f in enumerate(self.faces):
             if f in self._index:
@@ -180,17 +182,25 @@ class FacePoset:
                 return self.faces[i]
         return None
 
+    def _cover_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per face, the bitmask of the faces covering it (up) and of the
+        faces it covers (down)."""
+        if self._covers is None:
+            n = len(self.faces)
+            up = [0] * n
+            down = [0] * n
+            for i in range(n):
+                for j in bits_of(self._above[i] & ~(1 << i)):
+                    if self._above[i] & self._below[j] == (1 << i) | (1 << j):
+                        up[i] |= 1 << j
+                        down[j] |= 1 << i
+            self._covers = (tuple(up), tuple(down))
+        return self._covers
+
     def covers(self) -> list[tuple[int, int]]:
-        """Index pairs (i, j) with j covering i."""
-        out = []
-        n = len(self.faces)
-        for i in range(n):
-            ups = self._above[i] & ~(1 << i)
-            for j in bits_of(ups):
-                between = self._above[i] & self._below[j]
-                if between == (1 << i) | (1 << j):
-                    out.append((i, j))
-        return out
+        """Index pairs (i, j) with j covering i, in ascending order."""
+        up, _ = self._cover_masks()
+        return [(i, j) for i, ups in enumerate(up) for j in bits_of(ups)]
 
     def iter_pairs(self) -> Iterator[tuple[int, int]]:
         """All strict pairs i < j in the order (by index)."""
@@ -383,17 +393,12 @@ def poset_isomorphic(p1: FacePoset, p2: FacePoset) -> bool:
         return False
 
     def signatures(p: FacePoset) -> list:
-        cov = p.covers()
-        up: list[list[int]] = [[] for _ in range(len(p.faces))]
-        down: list[list[int]] = [[] for _ in range(len(p.faces))]
-        for a, b in cov:
-            up[a].append(b)
-            down[b].append(a)
+        up, down = p._cover_masks()
         sig = list(p.ranks)
         for _ in range(3):
             sig = [hash((sig[i],
-                         tuple(sorted(sig[j] for j in up[i])),
-                         tuple(sorted(sig[j] for j in down[i]))))
+                         tuple(sorted(sig[j] for j in bits_of(up[i]))),
+                         tuple(sorted(sig[j] for j in bits_of(down[i])))))
                    for i in range(len(p.faces))]
         return sig
 
@@ -442,7 +447,7 @@ def to_dot(p: FacePoset) -> str:
     for r in sorted(set(p.ranks)):
         same = " ".join(f"n{i};" for i, rr in enumerate(p.ranks) if rr == r)
         lines.append("  { rank=same; %s }" % same)
-    for a, b in sorted(p.covers()):
+    for a, b in p.covers():
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -455,4 +460,4 @@ def to_json_dict(p: FacePoset) -> dict:
             sorted(m) for m in sorted(f, key=set_sort_key)]
         faces.append({"id": i, "rank": p.ranks[i],
                       "label": face_label(f), "members": members})
-    return {"faces": faces, "covers": [list(c) for c in sorted(p.covers())]}
+    return {"faces": faces, "covers": [list(c) for c in p.covers()]}

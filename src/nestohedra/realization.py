@@ -2,10 +2,11 @@
 
 Every member X of the (saturated closure of the) hypergraph carves the
 halfspace sum(x_i for i in X) >= 3**|X|; the polytope lives inside the
-hyperplane where the full-carrier sum holds with equality.  Vertex
-coordinates come from a constructive recursion that peels the unique
-superficial atom of each nested member, so every coordinate is an exact
-nonnegative integer and no linear algebra or floating point is needed.
+hyperplane where the full-carrier sum holds with equality.  A vertex is
+read off its construction as a forest: the root (superficial) atom of
+each member X gets 3**|X| minus 3**|Y| summed over the children Y of X,
+the largest members strictly inside X.  Every coordinate is an exact
+positive integer and no linear algebra or floating point is needed.
 Disconnected hypergraphs realize as the cartesian product of their
 blocks, coordinate blocks concatenated in carrier order.
 """
@@ -18,16 +19,16 @@ from typing import Iterable, Sequence
 from .errors import (
     DimensionMismatchError,
     NestohedraError,
-    NotAConstructionError,
+    NotASCError,
     NotAtomicError,
 )
 from .constructions import (
+    _construction_masks,
     _constructions,
-    antichains_all_miss,
+    _forest,
     enumerate_constructs,
     is_asc,
 )
-from .errors import NotASCError
 from .hypergraph import (
     AtomSet,
     Family,
@@ -37,7 +38,6 @@ from .hypergraph import (
     family_union,
     is_atomic,
     mask_sort_key,
-    members_within,
     set_sort_key,
 )
 from .saturation import saturated_closure
@@ -68,53 +68,36 @@ class RealizedPolytope:
     incidence: tuple[tuple[bool, ...], ...]
 
 
-def _solve(members: frozenset[int], carrier: int, km: frozenset[int],
-           out: dict[int, int]) -> None:
-    """Fill coordinates for the atoms of ``carrier`` given the block
-    construction ``km`` (which contains ``carrier``)."""
-    size = carrier.bit_count()
-    if size == 0:
-        return
-    if size == 1:
-        out[carrier.bit_length() - 1] = 3
-        return
-    if carrier not in km:
-        raise NestohedraError(
-            "internal error: block construction must contain its carrier")
-    proper = [m for m in km if m != carrier]
-    s_mask = carrier & ~family_union(proper)
-    if not s_mask or s_mask & (s_mask - 1):
-        raise NestohedraError("internal error: superficial atom not unique")
-    rest = carrier ^ s_mask
-    sub_members = members_within(members, rest)
-    for comp in family_components(sub_members):
-        cmask = family_union(comp)
-        sub_k = frozenset(m for m in proper if m & ~cmask == 0)
-        _solve(frozenset(comp), cmask, sub_k, out)
-    total = sum(out[i] for i in bits_of(rest))
-    x_s = 3 ** size - total
-    # the peeled coordinate always clears the next-lower level
-    if x_s <= 3 ** (size - 1):
-        raise NestohedraError("internal error: peeled coordinate too small")
-    out[s_mask.bit_length() - 1] = x_s
+def _coordinates(k: Iterable[int], n: int) -> tuple[int, ...]:
+    """The vertex of the construction with member masks ``k``.
+
+    The root atom of each member X gets 3**|X| minus 3**|Y| summed over
+    the children Y of X, so the sum over every member telescopes to
+    3**|X|.
+    """
+    forest = _forest(k)
+    out = [0] * n
+    for m, (parent, root) in forest.items():
+        out[root] += 3 ** m.bit_count()
+        if parent:
+            out[forest[parent][1]] -= 3 ** m.bit_count()
+    for m, (_, root) in forest.items():
+        # the root coordinate always clears the next-lower level, so no
+        # coordinate is below 3
+        if m.bit_count() >= 2 and out[root] <= 3 ** (m.bit_count() - 1):
+            raise NestohedraError("internal error: peeled coordinate too small")
+    return tuple(out)
 
 
 def vertex_coordinates(h: Hypergraph, k: Iterable[Iterable[str]]) -> tuple[int, ...]:
     """The unique solution of the member-sum equations of a construction,
-    one exact integer per carrier atom in carrier order."""
+    one exact integer per carrier atom in carrier order.  A member
+    listed twice counts once."""
     if not is_asc(h):
         raise NotASCError("vertex coordinates need an atomic saturated "
                           "connected hypergraph")
-    try:
-        masks = frozenset(h.mask(s) for s in k)
-    except NestohedraError as exc:
-        raise NotAConstructionError(str(exc)) from exc
-    if len(masks) != h.n_atoms or any(m not in h.members for m in masks) \
-            or not antichains_all_miss(h.members, sorted(masks)):
-        raise NotAConstructionError("not a construction of the hypergraph")
-    out: dict[int, int] = {}
-    _solve(h.members, h.carrier_mask, masks, out)
-    return tuple(out[i] for i in range(h.n_atoms))
+    masks = _construction_masks(h, {frozenset(s) for s in k})
+    return _coordinates(masks, h.n_atoms)
 
 
 def realize(h: Hypergraph) -> RealizedPolytope:
@@ -133,16 +116,7 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     block_masks = [family_union(c) for c in comps]
     cons = sorted(_constructions(hbar.members),
                   key=lambda k: sorted(mask_sort_key(m) for m in k))
-    vertices = []
-    for k in cons:
-        out: dict[int, int] = {}
-        for comp, cmask in zip(comps, block_masks):
-            kb = frozenset(m for m in k if m & ~cmask == 0)
-            _solve(frozenset(comp), cmask, kb, out)
-        coords = tuple(out[i] for i in range(n))
-        if any(c < 0 for c in coords):
-            raise NestohedraError("internal error: negative coordinate")
-        vertices.append((h.family(k), coords))
+    vertices = [(h.family(k), _coordinates(k, n)) for k in cons]
     if len({coords for _, coords in vertices}) != len(vertices):
         raise NestohedraError("internal error: coordinate collision")
 

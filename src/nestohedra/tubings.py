@@ -22,7 +22,7 @@ from .errors import (
     NestohedraError,
     NotTubesError,
 )
-from .constructions import is_construct
+from .constructions import _masks_in, is_construct
 from .hypergraph import (
     AtomSet,
     Family,
@@ -134,11 +134,10 @@ def is_tubing(g: GraphHypergraph, t: Iterable[Iterable[str]]) -> bool:
     """Pairwise non-overlapping and non-adjacent members of the graph,
     containing the full vertex set, avoiding the whole loose partition."""
     h = g.underlying
-    fam = frozenset(frozenset(s) for s in t)
-    member_sets = h.member_sets
-    if not fam <= member_sets:
+    found = _masks_in(h, t)
+    if found is None:
         raise NotTubesError("a tubing may only use members of the graph")
-    masks = sorted(h.mask(s) for s in fam)
+    masks = sorted(set(found))
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
             if _clash(a, b, h.members):
@@ -146,7 +145,7 @@ def is_tubing(g: GraphHypergraph, t: Iterable[Iterable[str]]) -> bool:
     if h.carrier_mask not in masks:
         return False
     loose, blocks = is_loose(g)
-    if loose and blocks <= fam:
+    if loose and all(h.mask(b) in masks for b in blocks):
         return False
     return True
 

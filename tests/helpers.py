@@ -60,6 +60,32 @@ def paper_e():
         [{"x", "y"}, {"x", "y", "z"}, {"y", "z"}, {"u"}, {"v"}])
 
 
+def graph(kind, n):
+    """Singletons plus the edges of the path, cycle, star or complete
+    graph on ``n`` <= 6 vertices (not saturated)."""
+    v = "abcdef"[:n]
+    if kind == "path":
+        edges = [(v[i], v[i + 1]) for i in range(n - 1)]
+    elif kind == "cycle":
+        edges = [(v[i], v[(i + 1) % n]) for i in range(n)]
+    elif kind == "star":
+        edges = [(v[0], v[i]) for i in range(1, n)]
+    else:
+        edges = list(itertools.combinations(v, 2))
+    # a cycle on one or two vertices is its path
+    edges = {frozenset(e) for e in edges if e[0] != e[1]}
+    return Hypergraph.from_sets([{a} for a in v] + list(edges))
+
+
+def random_atomic(rng, k):
+    """Singletons on ``k`` <= 6 atoms plus one to four random larger sets."""
+    atoms = "abcdef"[:k]
+    bigger = [frozenset(c) for r in range(2, k + 1)
+              for c in itertools.combinations(atoms, r)]
+    extra = rng.sample(bigger, rng.randint(1, 4))
+    return Hypergraph.from_sets([{a} for a in atoms] + extra)
+
+
 L = frozen("u", "zu", "yzu", "xyzu")
 M = frozen("y", "u", "yzu", "xyzu")
 N = frozen("x", "u", "zu", "xyzu")

@@ -137,6 +137,13 @@ class TestErrors:
         assert run(["info", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["info", "tubings"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00x\n")
+        assert run([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error(self):
         assert run(["frobnicate"]) == 2
 

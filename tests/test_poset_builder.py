@@ -8,7 +8,7 @@ test oracle only; the library builds the order from member bitsets.
 """
 
 import random
-from itertools import combinations, compress, repeat
+from itertools import compress, repeat
 
 import pytest
 
@@ -29,7 +29,8 @@ from nestohedra import (
 )
 from nestohedra.facelattice import _induced
 
-from helpers import all_asc_hypergraphs, negative_posets, paper_a
+from helpers import (all_asc_hypergraphs, graph, negative_posets, paper_a,
+                     random_atomic)
 
 
 def _reverse_inclusion(a, b):
@@ -59,28 +60,6 @@ def assert_matches(p, faces_ranks, leq=_reverse_inclusion):
 def construct_faces(h):
     n = h.n_atoms
     return [(BOTTOM, -1)] + [(c, n - len(c)) for c in enumerate_constructs(h)]
-
-
-def graph(kind, n):
-    v = "abcdef"[:n]
-    if kind == "path":
-        edges = [(v[i], v[i + 1]) for i in range(n - 1)]
-    elif kind == "cycle":
-        edges = [(v[i], v[(i + 1) % n]) for i in range(n)]
-    elif kind == "star":
-        edges = [(v[0], v[i]) for i in range(1, n)]
-    else:
-        edges = list(combinations(v, 2))
-    # a cycle on one or two vertices is its path
-    edges = {frozenset(e) for e in edges if e[0] != e[1]}
-    return Hypergraph.from_sets([{a} for a in v] + list(edges))
-
-
-def random_atomic(rng, k):
-    atoms = "abcdef"[:k]
-    bigger = [frozenset(c) for r in range(2, k + 1) for c in combinations(atoms, r)]
-    extra = rng.sample(bigger, rng.randint(1, 4))
-    return Hypergraph.from_sets([{a} for a in atoms] + extra)
 
 
 class TestAbstractPolytope:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +8,13 @@ from nestohedra import (
     Hypergraph,
     HyperplaneSpec,
     abstract_polytope,
+    catalog,
     catalog_lookup,
     check_vertex_membership,
     enumerate_constructions,
     f_vector,
     face_lattice_isomorphic,
+    is_atomic,
     realize,
     saturated_closure,
     to_off,
@@ -26,7 +29,7 @@ from nestohedra.errors import (
 )
 from nestohedra.realization import to_json_dict
 
-from helpers import L, all_asc_hypergraphs, frozen, paper_a
+from helpers import L, all_asc_hypergraphs, frozen, graph, paper_a, random_atomic
 
 
 def abar():
@@ -54,6 +57,10 @@ class TestVertexCoordinates:
     def test_l_vertex(self):
         # atoms sort as (u, x, y, z)
         assert vertex_coordinates(abar(), L) == (3, 54, 18, 6)
+
+    def test_repeated_member_counts_once(self):
+        k = [["u"], ["z", "u"], ["u"], ["y", "z", "u"], ["x", "y", "z", "u"]]
+        assert vertex_coordinates(abar(), k) == (3, 54, 18, 6)
 
     def test_requires_asc(self):
         with pytest.raises(NotASCError):
@@ -148,6 +155,39 @@ class TestMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             check_vertex_membership(abar(), (1, 2, 3))
+
+
+def assert_defining_equations(h):
+    """Every vertex sums to exactly 3**|X| over each member X of its
+    construction, block tops included, and to more over every other
+    member of the closure.  These equations fix the point, so they are
+    the oracle for the closed-form coordinates."""
+    hbar = saturated_closure(h)
+    rp = realize(h)
+    assert len(rp.vertices) == len(enumerate_constructions(h))
+    for fam, coords in rp.vertices:
+        for m in hbar.member_sets:
+            total = sum(coords[h.atoms.index(a)] for a in m)
+            if m in fam:
+                assert total == 3 ** len(m), (sorted(m), coords)
+            else:
+                assert total > 3 ** len(m), (sorted(m), coords)
+
+
+class TestDefiningEquations:
+    def test_every_catalog_entry(self):
+        for e in catalog():
+            if is_atomic(e.hypergraph):
+                assert_defining_equations(e.hypergraph)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_graph_nestohedra(self, kind, n):
+        assert_defining_equations(graph(kind, n))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_atomic_hypergraphs(self, seed):
+        assert_defining_equations(random_atomic(random.Random(seed), 5 + seed % 2))
 
 
 class TestBudgetInequality:

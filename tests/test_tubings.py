@@ -108,6 +108,13 @@ class TestIsTubing:
         with pytest.raises(NotTubesError):
             is_tubing(path4(), frozen("xu"))
 
+    def test_unknown_atom_is_not_tubes(self):
+        with pytest.raises(NotTubesError):
+            is_tubing(path4(), frozen("xw", "xyzu"))
+
+    def test_repeated_member_counts_once(self):
+        assert is_tubing(path4(), [["x"], ["x"], ["x", "y", "z", "u"]])
+
 
 class TestEquivalence:
     def test_path4(self):
