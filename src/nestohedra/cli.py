@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from itertools import combinations
 
 from . import facelattice as fl
@@ -21,9 +22,9 @@ from . import realization as rz
 from .catalog import catalog_lookup, chart_edges, fvector_table
 from .axioms import verify_axioms, verify_inductive
 from .constructions import (
+    _block_fault,
     count_constructions,
     enumerate_constructions,
-    is_construction,
     to_s_construction,
 )
 from .errors import NestohedraError, UnknownNameError
@@ -35,7 +36,6 @@ from .hypergraph import (
     from_text,
     is_atomic,
     is_connected,
-    set_sort_key,
 )
 from .saturation import is_saturated, saturated_closure
 from .tubings import graph_from_text, tubings_equal_constructs
@@ -145,15 +145,10 @@ def _cmd_verify(args) -> int:
                        built == hbar.member_sets))
         agree = True
         for block in finest_partition(hbar):
-            want = set(enumerate_constructions(block))
-            size = block.n_atoms
-            got = set()
-            for m in combinations(sorted(block.member_sets, key=set_sort_key),
-                                  size):
-                fam = frozenset(m)
-                if is_construction(block, fam):
-                    got.add(fam)
-            agree = agree and want == got
+            got = {block.family(m)
+                   for m in combinations(block.members, block.n_atoms)
+                   if _block_fault(block.members, block.carrier_mask, m) is None}
+            agree = agree and enumerate_constructions(block) == got
         checks.append(("construction-oracle", agree))
     else:
         print(f"note: exhaustive oracles skipped (carrier exceeds "
@@ -242,10 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first run, not at import; parsing leaves it unchanged
+_parser = cache(build_parser)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

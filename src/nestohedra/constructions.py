@@ -9,8 +9,11 @@ constructions that keep every connected component of the carrier.
 For atomic, saturated, connected (ASC) hypergraphs there is an
 equivalent antichain characterization: a subfamily M of H is inside some
 construction exactly when no antichain of M has its union in H, and it
-is a construction when additionally |M| equals the carrier size.  Both
-routes are implemented and the tests hold them against each other.
+is a construction when additionally |M| equals the carrier size.
+Production: inductive enumeration, and one antichain block check
+(``_block_fault``) for recognition.  Test oracles: the deletion
+recurrence ``count_constructions``, and restriction x trace for
+``continuation``.
 
 Three notations are carried: plain member families, forests (sets of
 trees, each a root atom plus child trees), and prefix words with a
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     NestohedraError,
@@ -226,9 +229,7 @@ def is_construction(h: Hypergraph, m: Iterable[Iterable[str]]) -> bool:
     masks = _masks_in(h, m)
     if masks is None or len(set(masks)) != len(masks):
         return False
-    if len(masks) != h.n_atoms:
-        return False
-    return antichains_all_miss(h.members, masks)
+    return _block_fault(h.members, h.carrier_mask, masks) is None
 
 
 def is_construct(h: Hypergraph, m: Iterable[Iterable[str]]) -> bool:
@@ -243,12 +244,23 @@ def is_construct(h: Hypergraph, m: Iterable[Iterable[str]]) -> bool:
     return antichains_all_miss(h.members, masks)
 
 
+def _block_fault(members: frozenset[int], carrier: int, fam: Sequence[int]) -> str | None:
+    """Why the distinct masks ``fam`` are not a construction of the saturated
+    connected block ``members`` on ``carrier``; None when they are one."""
+    if len(fam) != carrier.bit_count():
+        return "wrong member count inside a component"
+    if any(m not in members for m in fam):
+        return "member outside the saturated closure"
+    if not antichains_all_miss(members, fam):
+        return "an antichain union lands in the hypergraph"
+    return None
+
+
 def _construction_masks(h: Hypergraph, k: Iterable[Iterable[str]]) -> list[int]:
     """Masks of ``k`` after checking it really is a construction of ``h``.
 
     Works for every atomic hypergraph: each connected block of the
-    saturated closure must receive a block construction, checked through
-    the antichain route.
+    saturated closure must receive a block construction.
     """
     if not is_atomic(h):
         raise NotAtomicError("constructions are defined for atomic hypergraphs")
@@ -266,13 +278,9 @@ def _construction_masks(h: Hypergraph, k: Iterable[Iterable[str]]) -> list[int]:
         cmask = family_union(comp)
         kb = [m for m in masks if m & ~cmask == 0]
         placed += len(kb)
-        if len(kb) != cmask.bit_count():
-            raise NotAConstructionError("wrong member count inside a component")
-        comp_members = frozenset(comp)
-        if any(m not in comp_members for m in kb):
-            raise NotAConstructionError("member outside the saturated closure")
-        if not antichains_all_miss(comp_members, kb):
-            raise NotAConstructionError("an antichain union lands in the hypergraph")
+        fault = _block_fault(frozenset(comp), cmask, kb)
+        if fault:
+            raise NotAConstructionError(fault)
     if placed != len(masks):
         raise NotAConstructionError("member crosses connected components")
     return masks
@@ -303,19 +311,25 @@ def _forest(k: Iterable[int]) -> dict[int, tuple[int, int]]:
     return out
 
 
-def to_f_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> FConstruction:
-    """Forest form of a construction: each tree bundles its root atom
-    with the set of its child trees."""
+def _read_forest(h: Hypergraph, k: Iterable[Iterable[str]],
+                 node: Callable[[str, list], object], top: Callable[[list], object]):
+    """Read the checked construction ``k`` off its forest bottom up, with
+    ``node(root atom, child results)`` per member and ``top`` on the trees."""
     forest = _forest(_construction_masks(h, k))
     children: dict[int, list[int]] = {}
     for m, (parent, _) in forest.items():
         children.setdefault(parent, []).append(m)
 
-    def tree(m: int) -> FTree:
-        return frozenset({h.atoms[forest[m][1]]}
-                         | {tree(c) for c in children.get(m, ())})
+    def read(m: int):
+        return node(h.atoms[forest[m][1]], [read(c) for c in children.get(m, ())])
 
-    return frozenset(tree(t) for t in children.get(0, ()))
+    return top([read(t) for t in children.get(0, ())])
+
+
+def to_f_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> FConstruction:
+    """Forest form of a construction: each tree bundles its root atom
+    with the set of its child trees."""
+    return _read_forest(h, k, lambda atom, trees: frozenset({atom, *trees}), frozenset)
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +407,12 @@ def sterm_to_family(t: STerm) -> Family:
     raise TypeError(f"not an STerm: {t!r}")
 
 
-def _forest_sterm(trees: Iterable[FTree]) -> STerm:
-    words = []
-    for tree in trees:
-        root = None
-        children = []
-        for item in tree:
-            if isinstance(item, str):
-                root = item
-            else:
-                children.append(item)
-        if root is None:
-            raise NestohedraError("internal error: tree without a root atom")
-        words.append(Prefix(root, _forest_sterm(children)))
-    if not words:
-        return EMPTY
-    return make_sum(words)
-
-
 def to_s_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> STerm:
     """Canonical word form of a construction."""
-    return _forest_sterm(to_f_construction(h, k))
+    def word(terms: list[STerm]) -> STerm:
+        return make_sum(terms) if terms else EMPTY
+
+    return _read_forest(h, k, lambda atom, terms: Prefix(atom, word(terms)), word)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,11 @@ from .errors import (
     NestohedraError,
     NotComparableError,
     NotFacetError,
+    UnknownAtomError,
 )
-from .hypergraph import (AtomSet, Family, Hypergraph, bits_of, quotient,
-                         restriction, set_sort_key)
-from .constructions import (
-    _ensure_asc,
-    enumerate_constructs,
-    is_construction,
-)
+from .hypergraph import (AtomSet, Family, Hypergraph, bits_of, members_within,
+                         set_sort_key)
+from .constructions import _block_fault, _ensure_asc, enumerate_constructs
 
 
 class _Bottom:
@@ -157,9 +154,6 @@ class FacePoset:
 
     def leq(self, f: Face, g: Face) -> bool:
         return bool(self._above[self.index(f)] >> self.index(g) & 1)
-
-    def rank_of(self, face: Face) -> int:
-        return self.ranks[self.index(face)]
 
     @property
     def rank(self) -> int:
@@ -320,26 +314,34 @@ def continuation(h: Hypergraph, y: Iterable[str],
     is a member of ``h`` and X itself otherwise.
     """
     _ensure_asc(h)
+
+    def mask(s: Iterable[str]) -> int:
+        try:
+            return h.mask(s)
+        except UnknownAtomError:
+            return -1  # in no family of masks
+
     ys = frozenset(y)
-    member_sets = h.member_sets
-    if ys not in member_sets:
+    ymask = mask(ys)
+    if ymask not in h.members:
         raise BadFactorError(f"{sorted(ys)} is not a member of the hypergraph")
     kf = frozenset(frozenset(s) for s in k)
     jf = frozenset(frozenset(s) for s in j)
-    if not is_construction(restriction(h, ys), kf):
+    kmasks = [mask(s) for s in kf]
+    if _block_fault(frozenset(members_within(h.members, ymask)), ymask, kmasks):
         raise BadFactorError("first factor is not a construction of the restriction")
-    rest = frozenset(h.atoms) - ys
-    if not rest:
-        if jf:
-            raise BadFactorError("second factor must be empty when y is the carrier")
-        return kf
-    if not is_construction(quotient(h, rest), jf):
-        raise BadFactorError("second factor is not a construction of the trace")
-    out = set(kf)
-    for x in jf:
-        u = x | ys
-        out.add(u if u in member_sets else x)
-    return frozenset(out)
+    # when y is the carrier the trace is empty, with the empty construction
+    rest = h.carrier_mask & ~ymask
+    jmasks = [mask(s) for s in jf]
+    traces = frozenset(m & rest for m in h.members if m & rest)
+    if _block_fault(traces, rest, jmasks):
+        raise BadFactorError("second factor is not a construction of the trace" if rest
+                             else "second factor must be empty when y is the carrier")
+    out = set(kmasks)
+    for x in jmasks:
+        u = x | ymask
+        out.add(u if u in h.members else x)
+    return h.family(out)
 
 
 def facet_section(h: Hypergraph, y: Iterable[str]) -> FacePoset:

@@ -144,10 +144,10 @@ def is_tubing(g: GraphHypergraph, t: Iterable[Iterable[str]]) -> bool:
                 return False
     if h.carrier_mask not in masks:
         return False
-    loose, blocks = is_loose(g)
-    if loose and all(h.mask(b) in masks for b in blocks):
-        return False
-    return True
+    # Compatible tubes below the top cover every vertex only when the maximal
+    # ones are a loose graph's blocks: two would be adjacent through the top,
+    # and three or more connected tubes with no edge between are components.
+    return family_union(m for m in masks if m != h.carrier_mask) != h.carrier_mask
 
 
 @dataclass(frozen=True)

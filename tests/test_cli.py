@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import nestohedra
+from nestohedra import cli
 from nestohedra.cli import run
 
 from helpers import paper_a
@@ -146,6 +147,17 @@ class TestErrors:
 
     def test_usage_error(self):
         assert run(["frobnicate"]) == 2
+
+    def test_usage_error_leaves_the_parser_intact(self, capsys):
+        # one parser serves every run; a failed parse must not change it
+        cli._parser.cache_clear()
+        assert run(["info", "H_1"]) == 0
+        fresh = capsys.readouterr().out
+        assert run(["nope"]) == 2
+        capsys.readouterr()
+        assert run(["info", "H_1"]) == 0
+        assert capsys.readouterr().out == fresh
+        assert cli._parser.cache_info().misses == 1
 
     def test_off_too_high_dimension(self, tmp_path, capsys):
         path = tmp_path / "h.hg"

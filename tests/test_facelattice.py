@@ -15,6 +15,7 @@ from nestohedra import (
     f_vector,
     facet_section,
     finest_partition,
+    is_construction,
     join,
     meet,
     otimes,
@@ -244,6 +245,72 @@ class TestContinuation:
             continuation(abar(), frozenset("zu"), frozen("u", "zu"), frozen("x"))
         with pytest.raises(BadFactorError):
             continuation(abar(), frozenset("xu"), frozen("u", "zu"), frozen("x", "xy"))
+
+    @staticmethod
+    def _oracle(hsets, y, r, q, k, j):
+        """Restriction x trace: the factors must be constructions of the
+        restriction ``r`` to y and of the trace ``q`` on the rest; they
+        glue through the members ``hsets``."""
+        if not is_construction(r, k):
+            raise BadFactorError("first factor is not a construction of the restriction")
+        if q is None:
+            if j:
+                raise BadFactorError("second factor must be empty when y is the carrier")
+            return k
+        if not is_construction(q, j):
+            raise BadFactorError("second factor is not a construction of the trace")
+        return k | {x | y if x | y in hsets else x for x in j}
+
+    def test_matches_restriction_trace_oracle(self):
+        rng = random.Random(11)
+
+        def key(fam):
+            return sorted(map(sorted, fam))
+
+        calls = rejected = 0
+        for n_atoms in range(1, 5):
+            for h in all_asc_hypergraphs(n_atoms):
+                carrier = frozenset(h.atoms)
+                hsets = h.member_sets
+                members = sorted(hsets, key=sorted)
+                for y in members:
+                    rest = carrier - y
+                    r = restriction(h, y)
+                    q = quotient(h, rest) if rest else None
+                    ks = sorted(enumerate_constructions(r), key=key)
+                    js = sorted(enumerate_constructions(q), key=key) if q else [frozenset()]
+                    k0, j0 = ks[0], js[0]
+                    inside = [m for m in members if m <= y]
+                    crossing = [m for m in members if m & y and m - y]
+                    traces = sorted({m & rest for m in members if m & rest}, key=sorted)
+                    k_cands = rng.sample(ks, min(2, len(ks))) + [
+                        frozenset(rng.sample(inside, rng.randint(0, len(inside)))),
+                        frozenset(),
+                        k0 | {frozenset()},
+                        k0 | {frozenset("q")},
+                    ]
+                    if crossing:
+                        k_cands.append(k0 - {y} | {rng.choice(crossing)})
+                    j_cands = rng.sample(js, min(2, len(js))) + [
+                        frozenset(rng.sample(traces, rng.randint(0, len(traces)))),
+                        frozenset(),
+                        j0 | {frozenset()},
+                        j0 | {frozenset("q")},
+                        # crosses y; a nonempty factor when y is the carrier
+                        j0 | {(traces[0] if traces else frozenset()) | {min(y)}},
+                    ]
+                    for k, j in [(k, j0) for k in k_cands] + [(k0, j) for j in j_cands]:
+                        calls += 1
+                        try:
+                            want = self._oracle(hsets, y, r, q, k, j)
+                        except BadFactorError as exc:
+                            rejected += 1
+                            with pytest.raises(BadFactorError) as got:
+                                continuation(h, y, k, j)
+                            assert str(got.value) == str(exc)
+                        else:
+                            assert continuation(h, y, k, j) == want
+        assert 0 < rejected < calls
 
     def test_projections_recover_factors(self):
         for h in all_asc_hypergraphs(4):

@@ -27,7 +27,7 @@ from nestohedra import (
     verify_axioms,
     verify_inductive,
 )
-from nestohedra.constructions import _forest, _forest_sterm, antichains_all_miss
+from nestohedra.constructions import _block_fault, _forest, antichains_all_miss
 from nestohedra.realization import _coordinates
 from nestohedra.hypergraph import family_components
 
@@ -161,7 +161,7 @@ class TestInvariantsUnderOptimize:
     """Internal invariants raise ``NestohedraError``; an ``assert`` would
     vanish under ``python -O``."""
 
-    @pytest.mark.parametrize("fn", [_forest, _forest_sterm, _coordinates])
+    @pytest.mark.parametrize("fn", [_forest, _block_fault, _coordinates])
     def test_no_assert_statements(self, fn):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
