@@ -57,22 +57,23 @@ class VerificationReport:
         }
 
 
-def _well_formed(p: FacePoset) -> None:
-    """Order must be a partial order and ranks strictly monotone on it."""
+def _order_fault(p: FacePoset) -> str:
+    """Why the order is not a partial order with ranks strictly monotone
+    on it; empty when it is."""
     n = len(p.faces)
     for i in range(n):
         above = p._above[i]
         if not above >> i & 1:
-            raise MalformedPosetError("order is not reflexive")
+            return "order is not reflexive"
         for j in bits_of(above & ~(1 << i)):
             if p._above[j] >> i & 1:
-                raise MalformedPosetError("order is not antisymmetric")
+                return "order is not antisymmetric"
             if p._above[j] & ~above:
-                raise MalformedPosetError("order is not transitive")
+                return "order is not transitive"
             if p.ranks[j] <= p.ranks[i]:
-                raise MalformedPosetError(
-                    f"rank does not increase from {face_label(p.faces[i])} "
-                    f"to {face_label(p.faces[j])}")
+                return (f"rank does not increase from {face_label(p.faces[i])} "
+                        f"to {face_label(p.faces[j])}")
+    return ""
 
 
 def _preamble(p: FacePoset, label: str) -> tuple[
@@ -81,7 +82,10 @@ def _preamble(p: FacePoset, label: str) -> tuple[
     unique least and greatest face.  Returns that verdict, the
     counterexamples (up to four least and greatest faces under ``label``
     on failure) and the bitmask of the faces of each rank."""
-    _well_formed(p)
+    if p._fault is None:
+        p._fault = _order_fault(p)
+    if p._fault:
+        raise MalformedPosetError(p._fault)
     n = len(p.faces)
     full = (1 << n) - 1
     bottoms = [i for i in range(n) if p._above[i] == full]

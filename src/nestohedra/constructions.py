@@ -1,19 +1,19 @@
 """Constructions and constructs of atomic hypergraphs.
 
-A construction is built inductively: the empty hypergraph has the empty
-construction; a connected hypergraph contributes its carrier on top of a
-construction of the hypergraph with one atom deleted; a disconnected one
-takes unions across its connected blocks.  Constructs are the subsets of
-constructions that keep every connected component of the carrier.
+One peeling recursion (``_peel``) enumerates both: the empty family has
+the empty result; a connected family with carrier X puts X on top of
+each result for the members missing a peeled set S, one atom of X for
+constructions and any nonempty S for constructs; a disconnected one
+takes unions across its connected blocks.  S is what X's children leave
+uncovered, so every result arises once.
 
 For atomic, saturated, connected (ASC) hypergraphs there is an
 equivalent antichain characterization: a subfamily M of H is inside some
 construction exactly when no antichain of M has its union in H, and it
-is a construction when additionally |M| equals the carrier size.
-Production: inductive enumeration, and one antichain block check
-(``_block_fault``) for recognition.  Test oracles: the deletion
-recurrence ``count_constructions``, and restriction x trace for
-``continuation``.
+is a construction when additionally |M| equals the carrier size.  One
+block check (``_block_fault``) uses it for recognition.  Oracles: the
+deletion recurrence ``_count``, the antichain block check, and the power
+set of each vertex's facets in ``face_lattice_isomorphic``.
 
 Three notations are carried: plain member families, forests (sets of
 trees, each a root atom plus child trees), and prefix words with a
@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -48,9 +49,8 @@ from .hypergraph import (
 )
 from .saturation import is_saturated, saturated_closure
 
-# A tree is a frozenset holding one root atom (str) and the child trees
-# (frozensets); a forest construction is a frozenset of trees.
-FTree = frozenset
+# A forest construction is a frozenset of trees; a tree is a frozenset
+# holding one root atom (str) and the child trees (frozensets).
 FConstruction = frozenset
 
 
@@ -114,39 +114,39 @@ def superficial_elements(m: Iterable[Iterable[str]], x: Iterable[str]) -> frozen
 
 
 # ---------------------------------------------------------------------------
-# enumeration (inductive route)
+# enumeration (peeling recursion)
 # ---------------------------------------------------------------------------
 
-# memoized on the member family alone: constructions depend only on the
-# bitmask structure, so distinct hypergraphs sharing an ambient indexing
-# reuse each other's subproblems
-_ENUM_MEMO: dict[frozenset[int], frozenset[frozenset[int]]] = {}
+# memoized on the member family (and the kind of result) alone: results
+# depend only on the bitmask structure, so distinct hypergraphs sharing
+# an ambient indexing reuse each other's subproblems
+_ENUM_MEMO: dict[tuple[frozenset[int], bool], frozenset[frozenset[int]]] = {}
 _COUNT_MEMO: dict[frozenset[int], int] = {}
 
 
-def _constructions(members: frozenset[int]) -> frozenset[frozenset[int]]:
-    got = _ENUM_MEMO.get(members)
+def _peel(members: frozenset[int], constructs: bool = False) -> frozenset[frozenset[int]]:
+    """Constructions of the member family, or its constructs."""
+    key = (members, constructs)
+    got = _ENUM_MEMO.get(key)
     if got is not None:
         return got
-    if not members:
-        out = frozenset({frozenset()})
-    else:
-        comps = family_components(members)
-        if len(comps) == 1:
-            carrier = family_union(members)
-            acc: set[frozenset[int]] = set()
-            for b in bits_of(carrier):
-                bit = 1 << b
-                sub = frozenset(m for m in members if not m & bit)
-                for k in _constructions(sub):
-                    acc.add(k | {carrier})
-            out = frozenset(acc)
+    comps = family_components(members)
+    if len(comps) == 1:
+        carrier = family_union(members)
+        if constructs:
+            peels, s = [], carrier
+            while s:
+                peels.append(s)
+                s = (s - 1) & carrier
         else:
-            acc = set()
-            for combo in product(*(_constructions(c) for c in comps)):
-                acc.add(frozenset().union(*combo))
-            out = frozenset(acc)
-    _ENUM_MEMO[members] = out
+            peels = [1 << b for b in bits_of(carrier)]
+        out = frozenset(k | {carrier} for s in peels
+                        for k in _peel(frozenset(m for m in members if not m & s),
+                                       constructs))
+    else:
+        out = frozenset(frozenset().union(*combo)
+                        for combo in product(*(_peel(c, constructs) for c in comps)))
+    _ENUM_MEMO[key] = out
     return out
 
 
@@ -154,20 +154,12 @@ def _count(members: frozenset[int]) -> int:
     got = _COUNT_MEMO.get(members)
     if got is not None:
         return got
-    if not members:
-        out = 1
+    comps = family_components(members)
+    if len(comps) == 1:
+        out = sum(_count(frozenset(m for m in members if not m >> b & 1))
+                  for b in bits_of(family_union(members)))
     else:
-        comps = family_components(members)
-        if len(comps) > 1:
-            out = 1
-            for c in comps:
-                out *= _count(frozenset(c))
-        else:
-            carrier = family_union(members)
-            out = 0
-            for b in bits_of(carrier):
-                bit = 1 << b
-                out += _count(frozenset(m for m in members if not m & bit))
+        out = prod(_count(c) for c in comps)
     _COUNT_MEMO[members] = out
     return out
 
@@ -176,14 +168,14 @@ def enumerate_constructions(h: Hypergraph) -> frozenset[Family]:
     """All constructions of an atomic hypergraph, as member families."""
     if not is_atomic(h):
         raise NotAtomicError("constructions are defined for atomic hypergraphs")
-    return frozenset(h.family(k) for k in _constructions(h.members))
+    return frozenset(h.family(k) for k in _peel(h.members))
 
 
 def count_constructions(h: Hypergraph) -> int:
     """Construction count by the deletion recurrence, without building sets.
 
-    Independent of :func:`enumerate_constructions`; the two are held
-    against each other in the tests.
+    The count oracle for the peeling recursion; the two are held against
+    each other in the tests and by ``nestohedra verify``.
     """
     if not is_atomic(h):
         raise NotAtomicError("constructions are defined for atomic hypergraphs")
@@ -191,17 +183,12 @@ def count_constructions(h: Hypergraph) -> int:
 
 
 def enumerate_constructs(h: Hypergraph) -> frozenset[Family]:
-    """All subfamilies of constructions keeping every connected component."""
+    """All subfamilies of constructions keeping every connected component,
+    each read once off the peeling recursion: a block's carrier on top
+    of a construct of the members missing a nonempty set of its atoms."""
     if not is_atomic(h):
         raise NotAtomicError("constructs are defined for atomic hypergraphs")
-    tops = frozenset(family_union(c) for c in family_components(h.members))
-    acc: set[frozenset[int]] = set()
-    for k in _constructions(h.members):
-        free = sorted(k - tops)
-        for r in range(len(free) + 1):
-            for sub in combinations(free, r):
-                acc.add(frozenset(sub) | tops)
-    return frozenset(h.family(c) for c in acc)
+    return frozenset(h.family(c) for c in _peel(h.members, True))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +469,11 @@ def parse_s_construction(text: str, h: Hypergraph) -> STerm:
     if text == "":
         return EMPTY
     parser = _SParser(text, h.atoms)
-    term = parser.parse_term()
+    try:
+        term = parser.parse_term()
+    except RecursionError:
+        # the walk below recurses no deeper than the parse did
+        raise parser.fail("term nested too deeply") from None
     if parser.pos != len(text):
         raise parser.fail("trailing input")
     seen: set[str] = set()

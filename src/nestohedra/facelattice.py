@@ -57,13 +57,14 @@ class FacePoset:
     """A finite poset with declared integer ranks.
 
     ``_above[i]`` is the bitmask of faces j with face_i <= face_j
-    (including i); ``_below`` is its transpose.  The cover bitmasks are
-    built on first use and kept.  Faces are hashable
-    payloads, either ``BOTTOM`` or construct families, but hand-built
-    posets may use any hashable labels.
+    (including i); ``_below`` is its transpose.  The cover bitmasks and
+    the checkers' well-formedness verdict (``_fault``, empty when
+    well-formed) are computed on first use and kept.  Faces are
+    hashable payloads, either ``BOTTOM`` or construct families, but
+    hand-built posets may use any hashable labels.
     """
 
-    __slots__ = ("faces", "ranks", "_above", "_below", "_index", "_covers")
+    __slots__ = ("faces", "ranks", "_above", "_below", "_index", "_covers", "_fault")
 
     def __init__(self, faces: Sequence[Face], ranks: Sequence[int],
                  above: Sequence[int]):
@@ -80,6 +81,7 @@ class FacePoset:
                 m ^= low
         self._below = tuple(below)
         self._covers: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._fault: str | None = None
         self._index = {}
         for i, f in enumerate(self.faces):
             if f in self._index:

@@ -292,7 +292,8 @@ def to_json(h: Hypergraph) -> str:
 def from_json(text: str) -> Hypergraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers over-long integers; deep nesting recurses
+    except (ValueError, RecursionError) as exc:
         raise HypergraphError(f"invalid JSON: {exc}") from exc
     shape = 'expected {"carrier": [...], "members": [[...], ...]}'
     if not isinstance(doc, dict) or "carrier" not in doc or "members" not in doc:

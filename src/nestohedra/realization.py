@@ -24,8 +24,8 @@ from .errors import (
 )
 from .constructions import (
     _construction_masks,
-    _constructions,
     _forest,
+    _peel,
     enumerate_constructs,
     is_asc,
 )
@@ -114,7 +114,7 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     n = h.n_atoms
     comps = family_components(hbar.members)
     block_masks = [family_union(c) for c in comps]
-    cons = sorted(_constructions(hbar.members),
+    cons = sorted(_peel(hbar.members),
                   key=lambda k: sorted(mask_sort_key(m) for m in k))
     vertices = [(h.family(k), _coordinates(k, n)) for k in cons]
     if len({coords for _, coords in vertices}) != len(vertices):
@@ -187,10 +187,11 @@ def face_lattice_isomorphic(h: Hypergraph) -> LatticeIsomorphism:
 
     The geometric side is rebuilt purely from the arithmetic incidence:
     each vertex becomes its set of incident facet supports and the faces
-    are all subsets of those sets.  The combinatorial side takes every
-    construct and strips the connected components of the carrier.  The
-    two collections must coincide, the vertex map must send incidence
-    sets to constructions, and every facet support must be hit.
+    are all subsets of those sets (the power-set oracle).  The
+    combinatorial side takes every construct of the peeling recursion
+    and strips the connected components of the carrier.  The two
+    collections must coincide, the vertex map must send incidence sets
+    to constructions, and every facet support must be hit.
     """
     rp = realize(h)
     mismatches: list[str] = []
@@ -244,7 +245,6 @@ def _projected_coords(rp: RealizedPolytope) -> list[tuple[int, ...]]:
     carrier-sum equation, so the projection is affine and injective."""
     if not rp.vertices:
         return []
-    blocks = []
     first_fam = rp.vertices[0][0]
     tops = [m for m in first_fam
             if not any(m < o for o in first_fam)]

@@ -6,7 +6,7 @@ import itertools
 
 from nestohedra import BOTTOM, FacePoset, abstract_polytope, catalog_lookup, is_asc
 from nestohedra.facelattice import _induced
-from nestohedra.hypergraph import Hypergraph
+from nestohedra.hypergraph import Hypergraph, bits_of, family_components, family_union
 
 ATOMS = ("x", "y", "z", "u")
 
@@ -62,8 +62,8 @@ def paper_e():
 
 def graph(kind, n):
     """Singletons plus the edges of the path, cycle, star or complete
-    graph on ``n`` <= 6 vertices (not saturated)."""
-    v = "abcdef"[:n]
+    graph on ``n`` <= 7 vertices (not saturated)."""
+    v = "abcdefg"[:n]
     if kind == "path":
         edges = [(v[i], v[i + 1]) for i in range(n - 1)]
     elif kind == "cycle":
@@ -84,6 +84,58 @@ def random_atomic(rng, k):
               for c in itertools.combinations(atoms, r)]
     extra = rng.sample(bigger, rng.randint(1, 4))
     return Hypergraph.from_sets([{a} for a in atoms] + extra)
+
+
+# ---------------------------------------------------------------------------
+# enumeration oracles: one-atom deletion with de-duplication, and the
+# power set of every construction (the library's routes before the
+# peeling recursion)
+# ---------------------------------------------------------------------------
+
+_ENUM_MEMO: dict[frozenset[int], frozenset[frozenset[int]]] = {}
+
+
+def _constructions(members: frozenset[int]) -> frozenset[frozenset[int]]:
+    got = _ENUM_MEMO.get(members)
+    if got is not None:
+        return got
+    if not members:
+        out = frozenset({frozenset()})
+    else:
+        comps = family_components(members)
+        if len(comps) == 1:
+            carrier = family_union(members)
+            acc: set[frozenset[int]] = set()
+            for b in bits_of(carrier):
+                bit = 1 << b
+                sub = frozenset(m for m in members if not m & bit)
+                for k in _constructions(sub):
+                    acc.add(k | {carrier})
+            out = frozenset(acc)
+        else:
+            acc = set()
+            for combo in itertools.product(*(_constructions(c) for c in comps)):
+                acc.add(frozenset().union(*combo))
+            out = frozenset(acc)
+    _ENUM_MEMO[members] = out
+    return out
+
+
+def oracle_constructions(h):
+    """Constructions of an atomic hypergraph by one-atom deletion."""
+    return frozenset(h.family(k) for k in _constructions(h.members))
+
+
+def oracle_constructs(h):
+    """All subfamilies of constructions keeping every connected component."""
+    tops = frozenset(family_union(c) for c in family_components(h.members))
+    acc: set[frozenset[int]] = set()
+    for k in _constructions(h.members):
+        free = sorted(k - tops)
+        for r in range(len(free) + 1):
+            for sub in itertools.combinations(free, r):
+                acc.add(frozenset(sub) | tops)
+    return frozenset(h.family(c) for c in acc)
 
 
 L = frozen("u", "zu", "yzu", "xyzu")

@@ -4,6 +4,7 @@ from nestohedra import (
     FacePoset,
     Hypergraph,
     abstract_polytope,
+    axioms,
     catalog_lookup,
     otimes,
     verify_axioms,
@@ -177,6 +178,28 @@ class TestMalformed:
             [("bot", 0), ("a", 0)], [("bot", "a")])
         with pytest.raises(MalformedPosetError):
             verify_axioms(p)
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        scans = []
+        scan = axioms._order_fault
+        monkeypatch.setattr(axioms, "_order_fault", lambda p: scans.append(p) or scan(p))
+        return scans
+
+    def test_order_scanned_once_for_both_checkers(self, monkeypatch):
+        scans = self._count_scans(monkeypatch)
+        p = abstract_polytope(paper_a())
+        assert verify_axioms(p).ok and verify_inductive(p).ok
+        assert scans == [p]
+
+    def test_malformed_verdict_kept(self, monkeypatch):
+        scans = self._count_scans(monkeypatch)
+        p = FacePoset.from_covers([("bot", 5), ("a", 0)], [("bot", "a")])
+        for check in (verify_axioms, verify_inductive, verify_axioms):
+            with pytest.raises(MalformedPosetError,
+                               match="^rank does not increase from bot to a$"):
+                check(p)
+        assert scans == [p]
 
     def test_report_to_dict(self):
         rep = verify_axioms(diamond_poset())

@@ -138,6 +138,12 @@ class TestErrors:
         assert run(["info", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert run(["info", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON")
+
     @pytest.mark.parametrize("command", ["info", "tubings"])
     def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "bad.txt"

@@ -1,13 +1,17 @@
 import itertools
+import random
+from math import comb, factorial
 
 import pytest
 
 from nestohedra import (
     Hypergraph,
+    catalog,
     count_constructions,
     enumerate_constructions,
     enumerate_constructs,
     is_construct,
+    is_atomic,
     is_construction,
     saturated_closure,
     superficial_elements,
@@ -20,7 +24,19 @@ from nestohedra.errors import (
     NotMemberError,
 )
 
-from helpers import L, M, N, all_asc_hypergraphs, all_atomic_hypergraphs, frozen, paper_a
+from helpers import (
+    L,
+    M,
+    N,
+    all_asc_hypergraphs,
+    all_atomic_hypergraphs,
+    frozen,
+    graph,
+    oracle_constructions,
+    oracle_constructs,
+    paper_a,
+    random_atomic,
+)
 
 
 def abar():
@@ -202,3 +218,91 @@ class TestOracleEquivalence:
         for h in all_atomic_hypergraphs(4):
             assert enumerate_constructions(h) == \
                 enumerate_constructions(saturated_closure(h))
+
+
+def _peeling_inputs():
+    """Every atomic hypergraph on <= 4 atoms (non-saturated and
+    disconnected ones included), the atomic catalog entries, the graph
+    families on <= 6 vertices and 12 seeded random ones on 5-6 atoms."""
+    hs = [h for k in range(5) for h in all_atomic_hypergraphs(k)]
+    hs += [e.hypergraph for e in catalog() if is_atomic(e.hypergraph)]
+    hs += [graph(kind, n) for kind in ("path", "cycle", "star", "complete")
+           for n in range(1, 7)]
+    rng = random.Random(6)
+    hs += [random_atomic(rng, rng.choice((5, 6))) for _ in range(12)]
+    return hs
+
+
+class TestPeelingMatchesPowerSet:
+    """The peeling recursion against the routes it replaced: one-atom
+    deletion with de-duplication, and the power set of every
+    construction (``tests/helpers.py``)."""
+
+    def test_constructions(self):
+        for h in _peeling_inputs():
+            assert enumerate_constructions(h) == oracle_constructions(h), h
+
+    def test_constructs(self):
+        for h in _peeling_inputs():
+            assert enumerate_constructs(h) == oracle_constructs(h), h
+
+
+# closed forms, computed without the library
+VERTICES = {
+    "path": lambda n: comb(2 * n, n) // (n + 1),  # Catalan
+    "cycle": lambda n: comb(2 * n - 2, n - 1),
+    "star": lambda n: sum(factorial(n - 1) // factorial(k) for k in range(n)),
+    "complete": factorial,
+}
+LITTLE_SCHROEDER = (1, 3, 11, 45, 197, 903, 4279)  # path constructs, n = 1..7
+FUBINI = (1, 3, 13, 75, 541, 4683)  # complete-graph constructs, n = 1..6
+FAMILIES = [(kind, n) for kind in VERTICES for n in range(1, 7)] + [("path", 7)]
+
+
+def _f_vector(h):
+    """Face counts by dimension 0..n-1 of a connected graph nestohedron:
+    a construct with c members is a face of dimension n - c."""
+    f = [0] * h.n_atoms
+    for c in enumerate_constructs(h):
+        f[h.n_atoms - len(c)] += 1
+    return f
+
+
+def _h_vector(f):
+    """Coefficients of sum f_k (t - 1)^k, lowest degree first."""
+    return [sum(fk * comb(k, i) * (-1) ** (k - i) for k, fk in enumerate(f))
+            for i in range(len(f))]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("kind,n", FAMILIES)
+    def test_vertex_count(self, kind, n):
+        h = graph(kind, n)
+        expect = VERTICES[kind](n)
+        assert len(enumerate_constructions(h)) == expect
+        assert count_constructions(h) == expect
+        assert _f_vector(h)[0] == expect
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_path_constructs_are_little_schroeder(self, n):
+        assert len(enumerate_constructs(graph("path", n))) == LITTLE_SCHROEDER[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_constructs_are_fubini(self, n):
+        assert len(enumerate_constructs(graph("complete", n))) == FUBINI[n - 1]
+
+    @pytest.mark.parametrize("kind,n", FAMILIES)
+    def test_euler_relation(self, kind, n):
+        f = _f_vector(graph(kind, n))
+        assert f[-1] == 1
+        assert sum((-1) ** k * fk for k, fk in enumerate(f)) == 1
+
+    @pytest.mark.parametrize("kind,n", FAMILIES)
+    def test_h_vector_symmetric(self, kind, n):
+        # Dehn-Sommerville: nestohedra are simple polytopes
+        h = _h_vector(_f_vector(graph(kind, n)))
+        assert h == h[::-1]
+        assert sum(h) == VERTICES[kind](n)
+
+    def test_associahedron_h_vector_is_narayana(self):
+        assert _h_vector(_f_vector(graph("path", 7))) == [1, 21, 105, 175, 105, 21, 1]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -280,8 +282,70 @@ class TestFormats:
         with pytest.raises(HypergraphError, match="atoms must be nonempty strings"):
             Hypergraph.from_sets([[5, "y"]], carrier=["x"])
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"carrier": ["x"], "members": ' + "[" * 1000 + "]" * 1000 + "}",
+    ], ids=["open-brackets", "nested-members"])
+    def test_json_deep_nesting_rejected(self, text):
+        from nestohedra.errors import HypergraphError
+        with pytest.raises(HypergraphError, match="invalid JSON"):
+            from_json(text)
+
+    def test_json_long_integer_rejected(self):
+        from nestohedra.errors import HypergraphError
+        with pytest.raises(HypergraphError, match="invalid JSON"):
+            from_json('{"carrier": [' + "1" * 5000 + '], "members": []}')
+
     def test_text_unrepresentable_atom(self):
         from nestohedra.errors import HypergraphError
         h = Hypergraph.from_sets([{"a,b"}])
         with pytest.raises(HypergraphError):
             to_text(h)
+
+
+# ---------------------------------------------------------------------------
+# every parser fails only with a package error
+# ---------------------------------------------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["carrier", "members", "x"]), inner, max_size=3),
+    max_leaves=12)
+
+
+def _only_package_errors(parse, *args):
+    from nestohedra.errors import NestohedraError
+    try:
+        parse(*args)
+    except NestohedraError:
+        pass
+
+
+@settings(deadline=None)
+@given(st.text(max_size=40) | st.text(alphabet="xyz,# \n", max_size=60))
+def test_from_text_raises_only_package_errors(text):
+    _only_package_errors(from_text, text)
+
+
+@settings(deadline=None)
+@given(st.text(max_size=40)
+       | _json_values.map(json.dumps)
+       | _json_values.map(json.dumps).map(lambda t: t[: len(t) // 2]))
+def test_from_json_raises_only_package_errors(text):
+    _only_package_errors(from_json, text)
+
+
+# at most ten vertices: the graph is saturated over every vertex subset
+@settings(deadline=None)
+@given(st.text(max_size=20) | st.text(alphabet="ab-# \n", max_size=20))
+def test_graph_from_text_raises_only_package_errors(text):
+    from nestohedra import graph_from_text
+    _only_package_errors(graph_from_text, text)
+
+
+@settings(deadline=None)
+@given(st.text(max_size=40) | st.text(alphabet="xyzuq()+ ", max_size=40))
+def test_parse_s_construction_raises_only_package_errors(text):
+    from nestohedra import parse_s_construction
+    _only_package_errors(parse_s_construction, text, paper_a())

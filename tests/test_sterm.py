@@ -66,6 +66,18 @@ class TestParsing:
         with pytest.raises(RepeatedAtomError):
             parse_s_construction("x(y+(zx))", paper_a())
 
+    @pytest.mark.parametrize("text", ["(" * 2000 + "x" + ")" * 2000, "x" * 5000],
+                             ids=["parentheses", "atom-chain"])
+    def test_deep_nesting_is_a_syntax_error(self, text):
+        with pytest.raises(STermSyntaxError, match="term nested too deeply"):
+            parse_s_construction(text, paper_a())
+
+    def test_moderate_nesting_parses_as_before(self):
+        a = paper_a()
+        assert parse_s_construction("(" * 300 + "x" + ")" * 300, a) == Prefix("x", EMPTY)
+        with pytest.raises(RepeatedAtomError):
+            parse_s_construction("x" * 300, a)
+
     def test_redundant_parens_accepted(self):
         a = paper_a()
         assert parse_s_construction("y(x+(zu))", a) == parse_s_construction("y(x+zu)", a)
