@@ -38,7 +38,7 @@ from .hypergraph import (
     is_connected,
 )
 from .saturation import is_saturated, saturated_closure
-from .tubings import graph_from_text, tubings_equal_constructs
+from .tubings import _check_cap, _parse_edges, as_graph, tubings_equal_constructs
 
 
 def _color_enabled() -> bool:
@@ -176,7 +176,10 @@ def _cmd_atlas(args) -> int:
 
 def _cmd_tubings(args) -> int:
     with open(args.graph_file, encoding="utf-8") as fh:
-        g = graph_from_text(fh.read())
+        edges, atoms = _parse_edges(fh.read())
+    # saturation walks every vertex subset, so the cap goes first
+    _check_cap(len(atoms), args.carrier_cap)
+    g = as_graph(edges, atoms)
     t0 = time.perf_counter()
     report = tubings_equal_constructs(g, cap=args.carrier_cap)
     dt = time.perf_counter() - t0

@@ -9,7 +9,11 @@ unbounded, so one representation covers carriers of any size.
 The canonical member order (``mask_sort_key``, ``set_sort_key``) and
 the member ``census`` by size are defined here for every other module.
 
-All values are immutable after construction and safe to share.
+All values are immutable after construction and safe to share.  Each
+hypergraph names a mask's atoms once: ``atom_set`` interns the
+frozenset per mask and keeps it for the hypergraph's lifetime, so every
+family read off the same hypergraph shares one object (and one cached
+hash) per member.
 """
 
 from __future__ import annotations
@@ -112,13 +116,14 @@ class Hypergraph:
     and hypergraph equality is plain field equality.
     """
 
-    __slots__ = ("atoms", "members", "_index", "_hash")
+    __slots__ = ("atoms", "members", "_index", "_hash", "_sets")
 
     def __init__(self, atoms: Sequence[str], member_masks: Iterable[int]):
         self.atoms: Carrier = tuple(atoms)
         self.members: frozenset[int] = frozenset(member_masks)
         self._index = {a: i for i, a in enumerate(self.atoms)}
         self._hash = None
+        self._sets: dict[int, AtomSet] = {}
 
     @classmethod
     def from_sets(cls, members: Iterable[Iterable[str]],
@@ -184,10 +189,16 @@ class Hypergraph:
         return m
 
     def atom_set(self, mask: int) -> AtomSet:
-        return frozenset(self.atoms[i] for i in bits_of(mask))
+        """The atom names of ``mask``, interned: built on the first call
+        and returned as the same object for the hypergraph's lifetime
+        (safe to share, being immutable)."""
+        s = self._sets.get(mask)
+        if s is None:
+            s = self._sets[mask] = frozenset(self.atoms[i] for i in bits_of(mask))
+        return s
 
     def family(self, masks: Iterable[int]) -> Family:
-        return frozenset(self.atom_set(m) for m in masks)
+        return frozenset(map(self.atom_set, masks))
 
     @property
     def member_sets(self) -> Family:

@@ -37,7 +37,6 @@ from .hypergraph import (
     family_components,
     family_union,
     is_atomic,
-    mask_sort_key,
     set_sort_key,
 )
 from .saturation import saturated_closure
@@ -103,10 +102,12 @@ def vertex_coordinates(h: Hypergraph, k: Iterable[Iterable[str]]) -> tuple[int, 
 def realize(h: Hypergraph) -> RealizedPolytope:
     """Realize an atomic hypergraph through its saturated closure.
 
-    Vertices are in bijection with the constructions; a vertex lies on
-    the hyperplane of X exactly when X belongs to its construction, and
-    the incidence below is computed arithmetically and checked against
-    that rule.
+    Vertices are in bijection with the constructions, ordered by their
+    members' canonical ranks; a vertex lies on the hyperplane of X
+    exactly when X belongs to its construction.  The facet table (mask,
+    atom indices, level) is built once, and the incidence is computed
+    arithmetically from it for every vertex and facet and checked
+    against that rule.
     """
     if not is_atomic(h):
         raise NotAtomicError("realization needs an atomic hypergraph")
@@ -114,21 +115,21 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     n = h.n_atoms
     comps = family_components(hbar.members)
     block_masks = [family_union(c) for c in comps]
-    cons = sorted(_peel(hbar.members),
-                  key=lambda k: sorted(mask_sort_key(m) for m in k))
+    canonical = hbar.canonical_masks()
+    rank = {m: i for i, m in enumerate(canonical)}
+    cons = sorted(_peel(hbar.members), key=lambda k: sorted(rank[m] for m in k))
     vertices = [(h.family(k), _coordinates(k, n)) for k in cons]
     if len({coords for _, coords in vertices}) != len(vertices):
         raise NestohedraError("internal error: coordinate collision")
 
-    facet_masks = [m for m in hbar.canonical_masks() if m not in block_masks]
-    specs = tuple(HyperplaneSpec(hbar.atom_set(m), 3 ** m.bit_count())
-                  for m in facet_masks)
+    facets = [(m, tuple(bits_of(m)), 3 ** m.bit_count())
+              for m in canonical if m not in block_masks]
+    specs = tuple(HyperplaneSpec(h.atom_set(m), level) for m, _, level in facets)
     incidence = []
-    for (fam, coords), k in zip(vertices, cons):
+    for (_, coords), k in zip(vertices, cons):
         row = []
-        for m in facet_masks:
-            total = sum(coords[i] for i in bits_of(m))
-            level = 3 ** m.bit_count()
+        for m, idx, level in facets:
+            total = sum(coords[i] for i in idx)
             if total < level:
                 raise NestohedraError("internal error: vertex outside a halfspace")
             on = total == level
@@ -197,7 +198,7 @@ def face_lattice_isomorphic(h: Hypergraph) -> LatticeIsomorphism:
     mismatches: list[str] = []
     hbar = saturated_closure(h)
     comps = family_components(hbar.members)
-    comp_tops = frozenset(hbar.atom_set(family_union(c)) for c in comps)
+    comp_tops = frozenset(h.atom_set(family_union(c)) for c in comps)
     supports = [spec.support for spec in rp.facet_specs]
 
     vertex_keys = []

@@ -72,6 +72,11 @@ def as_graph(edges: Iterable[Iterable[str]], atoms: Iterable[str]) -> GraphHyper
 def graph_from_text(text: str) -> GraphHypergraph:
     """Edge-list format: one ``x-y`` edge per line; a bare ``x`` line
     declares an isolated vertex; ``#`` starts a comment."""
+    return as_graph(*_parse_edges(text))
+
+
+def _parse_edges(text: str) -> tuple[set[frozenset[str]], set[str]]:
+    """The edges and vertices of an edge list, before any saturation."""
     atoms: set[str] = set()
     edges: set[frozenset[str]] = set()
     for raw in text.splitlines():
@@ -90,7 +95,7 @@ def graph_from_text(text: str) -> GraphHypergraph:
             edges.add(frozenset(parts))
         else:
             raise BadEdgeError(f"bad edge line {raw!r}")
-    return as_graph(edges, atoms)
+    return edges, atoms
 
 
 def is_graph_hypergraph(h: Hypergraph) -> bool:
@@ -158,6 +163,12 @@ class TubingEquivalenceReport:
     families_checked: int
 
 
+def _check_cap(n_atoms: int, cap: int) -> None:
+    if n_atoms > cap:
+        raise CarrierTooLargeError(
+            f"carrier of size {n_atoms} exceeds the cap {cap}")
+
+
 def tubings_equal_constructs(g: GraphHypergraph, cap: int = 6) -> TubingEquivalenceReport:
     """Compare the tubing predicate with the construct predicate over all
     member subsets containing the full vertex set.
@@ -169,9 +180,7 @@ def tubings_equal_constructs(g: GraphHypergraph, cap: int = 6) -> TubingEquivale
     explicitly and fed through both predicates.
     """
     h = g.underlying
-    if h.n_atoms > cap:
-        raise CarrierTooLargeError(
-            f"carrier of size {h.n_atoms} exceeds the cap {cap}")
+    _check_cap(h.n_atoms, cap)
     members = sorted(h.members, key=mask_sort_key)
     others = [m for m in members if m != h.carrier_mask]
     n = len(others)

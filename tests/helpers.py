@@ -4,9 +4,22 @@ from __future__ import annotations
 
 import itertools
 
-from nestohedra import BOTTOM, FacePoset, abstract_polytope, catalog_lookup, is_asc
+from nestohedra import (
+    BOTTOM,
+    FacePoset,
+    abstract_polytope,
+    catalog_lookup,
+    is_asc,
+    saturated_closure,
+)
 from nestohedra.facelattice import _induced
-from nestohedra.hypergraph import Hypergraph, bits_of, family_components, family_union
+from nestohedra.hypergraph import (
+    Hypergraph,
+    bits_of,
+    family_components,
+    family_union,
+    mask_sort_key,
+)
 
 ATOMS = ("x", "y", "z", "u")
 
@@ -136,6 +149,20 @@ def oracle_constructs(h):
             for sub in itertools.combinations(free, r):
                 acc.add(frozenset(sub) | tops)
     return frozenset(h.family(c) for c in acc)
+
+
+def reference_vertex_rows(h):
+    """(construction, incidence row) pairs of an atomic hypergraph's
+    realization, constructions from the deletion oracle sorted by the
+    sorted ``mask_sort_key`` list of their member masks, each row saying
+    which non-block members of the closure (in canonical order) the
+    construction holds."""
+    hbar = saturated_closure(h)
+    tops = {family_union(c) for c in family_components(hbar.members)}
+    cons = sorted(_constructions(hbar.members),
+                  key=lambda k: sorted(mask_sort_key(m) for m in k))
+    facets = [m for m in sorted(hbar.members, key=mask_sort_key) if m not in tops]
+    return [(hbar.family(k), tuple(m in k for m in facets)) for k in cons]
 
 
 L = frozen("u", "zu", "yzu", "xyzu")

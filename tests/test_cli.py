@@ -116,6 +116,18 @@ class TestAtlasAndTubings:
         assert run(["tubings", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_tubings_cap_comes_before_saturation(self, tmp_path, capsys, monkeypatch):
+        from nestohedra import tubings
+
+        def saturate(h):
+            raise AssertionError("saturation started")
+
+        monkeypatch.setattr(tubings, "saturated_closure", saturate)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"v{i}\n" for i in range(30)))
+        assert run(["tubings", str(path)]) == 2
+        assert capsys.readouterr().err == "error: carrier of size 30 exceeds the cap 6\n"
+
 
 class TestErrors:
     def test_unknown_source(self, capsys):

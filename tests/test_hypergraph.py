@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from nestohedra import (
     Hypergraph,
+    catalog,
     catalog_lookup,
     census,
+    enumerate_constructs,
     finest_partition,
     from_json,
     from_text,
@@ -25,6 +27,7 @@ from nestohedra.errors import (
     NotSubsetError,
     UnknownAtomError,
 )
+from nestohedra.hypergraph import bits_of
 
 from helpers import all_atomic_hypergraphs, frozen, paper_a, paper_e
 
@@ -64,6 +67,36 @@ class TestValidate:
         h1 = Hypergraph.from_sets([{"x"}, {"y"}, {"x", "y"}])
         h2 = Hypergraph.from_sets([{"y", "x"}, {"y"}, {"x"}])
         assert h1 == h2 and hash(h1) == hash(h2)
+
+
+class TestInterning:
+    def test_atom_set_is_one_object_per_mask(self):
+        h = paper_a()
+        for m in range(1 << h.n_atoms):
+            s = h.atom_set(m)
+            assert h.atom_set(m) is s
+            assert s == frozenset(a for i, a in enumerate(h.atoms) if m >> i & 1)
+
+    def test_family_shares_the_interned_sets(self):
+        h = paper_a()
+        for s in h.family(h.members):
+            assert h.atom_set(h.mask(s)) is s
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        warm, cold = paper_a(), paper_a()
+        warm.family(warm.members)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert len({warm, cold}) == 1
+
+    def test_family_matches_fresh_sets_on_the_catalog(self):
+        for e in catalog():
+            h = e.hypergraph
+            families = [h.members]
+            if is_atomic(h):
+                families += [frozenset(h.mask(s) for s in c) for c in enumerate_constructs(h)]
+            for masks in families:
+                fresh = frozenset(frozenset(h.atoms[i] for i in bits_of(m)) for m in masks)
+                assert h.family(masks) == fresh
 
 
 class TestCensus:

@@ -20,6 +20,7 @@ from nestohedra import (
     to_off,
     vertex_coordinates,
 )
+from nestohedra import realization
 from nestohedra.errors import (
     DimensionMismatchError,
     NestohedraError,
@@ -27,9 +28,19 @@ from nestohedra.errors import (
     NotASCError,
     NotAtomicError,
 )
+from nestohedra.hypergraph import family_components, family_union
 from nestohedra.realization import to_json_dict
 
-from helpers import L, all_asc_hypergraphs, frozen, graph, paper_a, random_atomic
+from helpers import (
+    L,
+    all_asc_hypergraphs,
+    frozen,
+    graph,
+    oracle_constructions,
+    paper_a,
+    random_atomic,
+    reference_vertex_rows,
+)
 
 
 def abar():
@@ -188,6 +199,81 @@ class TestDefiningEquations:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_atomic_hypergraphs(self, seed):
         assert_defining_equations(random_atomic(random.Random(seed), 5 + seed % 2))
+
+
+class TestVertexOrder:
+    """Vertices and incidence rows against the deletion oracle sorted by
+    the member masks' ``mask_sort_key`` lists."""
+
+    @staticmethod
+    def assert_rows(h):
+        rp = realize(h)
+        got = [(fam, row) for (fam, _), row in zip(rp.vertices, rp.incidence)]
+        assert got == reference_vertex_rows(h)
+
+    def test_every_catalog_entry(self):
+        for e in catalog():
+            if is_atomic(e.hypergraph):
+                self.assert_rows(e.hypergraph)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_graph_nestohedra(self, kind, n):
+        self.assert_rows(graph(kind, n))
+
+    @pytest.mark.parametrize("seed", range(100, 108))
+    def test_random_atomic_hypergraphs(self, seed):
+        self.assert_rows(random_atomic(random.Random(seed), 5 + seed % 2))
+
+
+def _tight_roots(h):
+    """(construction masks, root atom index) for every member of every
+    construction of ``h``'s closure except the block tops, which carve
+    no facet.  A member's root is the one atom its sub-members miss."""
+    hbar = saturated_closure(h)
+    tops = {family_union(c) for c in family_components(hbar.members)}
+    for fam in oracle_constructions(hbar):
+        k = frozenset(hbar.mask(s) for s in fam)
+        for m in k - tops:
+            below = family_union(o for o in k if o != m and o & ~m == 0)
+            yield k, (m & ~below).bit_length() - 1
+
+
+class TestEveryVertexFacetChecked:
+    """Moving one coordinate of one vertex by one off a facet of its
+    construction must trip that facet's check."""
+
+    @staticmethod
+    def perturbed(monkeypatch, target, atom, delta):
+        real = realization._coordinates
+
+        def coordinates(k, n):
+            out = list(real(k, n))
+            if frozenset(k) == target:
+                out[atom] += delta
+            return tuple(out)
+
+        monkeypatch.setattr(realization, "_coordinates", coordinates)
+
+    @pytest.mark.parametrize("make", [
+        paper_a,
+        lambda: graph("cycle", 4),
+        lambda: Hypergraph.from_sets(["x", "y", "z", "u", "xy", "zu"]),
+    ])
+    @pytest.mark.parametrize("delta, message", [
+        (1, "incidence disagrees"),
+        (-1, "outside a halfspace"),
+    ])
+    def test_one_coordinate_moved(self, monkeypatch, make, delta, message):
+        h = make()
+        pairs = list(_tight_roots(h))
+        assert pairs
+        for k, atom in pairs:
+            with monkeypatch.context() as mp:
+                self.perturbed(mp, k, atom, delta)
+                with pytest.raises(NestohedraError, match=message):
+                    realize(h)
+        realize(h)
 
 
 class TestBudgetInequality:
