@@ -177,7 +177,7 @@ def _cmd_atlas(args) -> int:
 def _cmd_tubings(args) -> int:
     with open(args.graph_file, encoding="utf-8") as fh:
         edges, atoms = _parse_edges(fh.read())
-    # saturation walks every vertex subset, so the cap goes first
+    # a dense graph's closure has up to 2^n - 1 members, so the cap goes first
     _check_cap(len(atoms), args.carrier_cap)
     g = as_graph(edges, atoms)
     t0 = time.perf_counter()

@@ -7,23 +7,22 @@ hypergraphs reachable that way form one cognate class.  Each class is a
 lattice whose greatest element (the saturated closure) is closed under
 unions of intersecting members and whose least element is bare.
 
-The closure and the dispensable-subset listing share one walk over the
-carrier subsets of two or more atoms, smaller subsets first.
+Every dispensable subset is the union of a connected family of members,
+so it is a member of the closure: the closure is computed by pairwise
+unions, and the dispensable subsets are read off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CarrierMismatchError, NotSubsetError
 from .hypergraph import (
     AtomSet,
     Hypergraph,
     family_is_connected,
-    mask_sort_key,
     members_within,
 )
 
@@ -58,50 +57,40 @@ def is_dispensable(h: Hypergraph, y: Iterable[str]) -> bool:
     return _dispensable_mask(h.members, h.mask(ys))
 
 
-def _subsets_of_two_or_more(n: int) -> Iterator[int]:
-    """Masks of the subsets of ``range(n)`` with at least two elements,
-    by increasing cardinality."""
-    for size in range(2, n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            yield mask
-
-
 @lru_cache(maxsize=None)
 def saturated_closure(h: Hypergraph) -> Hypergraph:
     """Least fixpoint of adding every dispensable subset.
 
-    Walks the carrier subsets by increasing cardinality, adding Y as a
-    member whenever the members inside Y are connected with union Y; one
-    pass suffices because only strictly smaller members can witness Y.
+    Closes the members under unions of intersecting pairs, each round
+    pairing only the members the previous round found with the whole
+    family.  The union of two intersecting members is dispensable, and a
+    dispensable subset is the union of a connected family, which such
+    unions reach one member at a time.
     """
     current = set(h.members)
-    for mask in _subsets_of_two_or_more(h.n_atoms):
-        if mask in current:
-            continue
-        if family_is_connected(members_within(current, mask), mask):
-            current.add(mask)
+    fresh = list(current)
+    while fresh:
+        pool = list(current)
+        found = []
+        for a in fresh:
+            for b in pool:
+                u = a | b
+                if a & b and u not in current:
+                    current.add(u)
+                    found.append(u)
+        fresh = found
     return Hypergraph(h.atoms, current)
 
 
 def bare_kernel(h: Hypergraph) -> Hypergraph:
-    """Delete dispensable members greedily until none remains.
+    """The members of ``h`` that are not dispensable in ``h``.
 
-    The result does not depend on the deletion order; the tests assert
-    this by deleting in two opposite orders.
+    Deleting a dispensable member keeps the closure, and dispensability
+    depends only on the closure, so greedy deletion in any order ends at
+    this set; the tests assert this by deleting in two opposite orders.
     """
-    current = set(h.members)
-    while True:
-        victim = None
-        for m in sorted(current, key=mask_sort_key):
-            if _dispensable_mask(frozenset(current), m):
-                victim = m
-                break
-        if victim is None:
-            return Hypergraph(h.atoms, current)
-        current.remove(victim)
+    return Hypergraph(h.atoms, [m for m in h.members
+                                if not _dispensable_mask(h.members, m)])
 
 
 def are_cognate(h1: Hypergraph, h2: Hypergraph) -> bool:
@@ -115,13 +104,11 @@ def dispensable_subsets(h: Hypergraph) -> frozenset[AtomSet]:
     """All carrier subsets dispensable in ``h``.
 
     Cognate hypergraphs agree on this set, so it is also the set for
-    every member of the cognate class.
+    every member of the cognate class.  Each one is a member of the
+    saturated closure, so only the closure's members are tested.
     """
-    out = []
-    for mask in _subsets_of_two_or_more(h.n_atoms):
-        if _dispensable_mask(h.members, mask):
-            out.append(h.atom_set(mask))
-    return frozenset(out)
+    return frozenset(h.atom_set(m) for m in saturated_closure(h).members
+                     if _dispensable_mask(h.members, m))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import string
 
 from nestohedra import (
     BOTTOM,
@@ -17,9 +18,12 @@ from nestohedra.hypergraph import (
     Hypergraph,
     bits_of,
     family_components,
+    family_is_connected,
     family_union,
     mask_sort_key,
+    members_within,
 )
+from nestohedra.saturation import _dispensable_mask
 
 ATOMS = ("x", "y", "z", "u")
 
@@ -75,8 +79,8 @@ def paper_e():
 
 def graph(kind, n):
     """Singletons plus the edges of the path, cycle, star or complete
-    graph on ``n`` <= 7 vertices (not saturated)."""
-    v = "abcdefg"[:n]
+    graph on ``n`` <= 26 vertices (not saturated)."""
+    v = string.ascii_lowercase[:n]
     if kind == "path":
         edges = [(v[i], v[i + 1]) for i in range(n - 1)]
     elif kind == "cycle":
@@ -163,6 +167,63 @@ def reference_vertex_rows(h):
                   key=lambda k: sorted(mask_sort_key(m) for m in k))
     facets = [m for m in sorted(hbar.members, key=mask_sort_key) if m not in tops]
     return [(hbar.family(k), tuple(m in k for m in facets)) for k in cons]
+
+
+# ---------------------------------------------------------------------------
+# saturation oracles: the walk over every carrier subset of two or more
+# atoms, and greedy deletion of dispensable members (the library's routes
+# before the union closure)
+# ---------------------------------------------------------------------------
+
+def _subsets_of_two_or_more(n: int):
+    """Masks of the subsets of ``range(n)`` with at least two elements,
+    by increasing cardinality."""
+    for size in range(2, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            yield mask
+
+
+def oracle_saturated_closure(h):
+    """Least fixpoint of adding every dispensable subset.
+
+    Walks the carrier subsets by increasing cardinality, adding Y as a
+    member whenever the members inside Y are connected with union Y; one
+    pass suffices because only strictly smaller members can witness Y.
+    """
+    current = set(h.members)
+    for mask in _subsets_of_two_or_more(h.n_atoms):
+        if mask in current:
+            continue
+        if family_is_connected(members_within(current, mask), mask):
+            current.add(mask)
+    return Hypergraph(h.atoms, current)
+
+
+def oracle_bare_kernel(h):
+    """Delete dispensable members greedily, smallest first, until none
+    remains."""
+    current = set(h.members)
+    while True:
+        victim = None
+        for m in sorted(current, key=mask_sort_key):
+            if _dispensable_mask(frozenset(current), m):
+                victim = m
+                break
+        if victim is None:
+            return Hypergraph(h.atoms, current)
+        current.remove(victim)
+
+
+def oracle_dispensable_subsets(h):
+    """All carrier subsets dispensable in ``h``, by testing each one."""
+    out = []
+    for mask in _subsets_of_two_or_more(h.n_atoms):
+        if _dispensable_mask(h.members, mask):
+            out.append(h.atom_set(mask))
+    return frozenset(out)
 
 
 L = frozen("u", "zu", "yzu", "xyzu")

@@ -257,6 +257,14 @@ VERTICES = {
 LITTLE_SCHROEDER = (1, 3, 11, 45, 197, 903, 4279)  # path constructs, n = 1..7
 FUBINI = (1, 3, 13, 75, 541, 4683)  # complete-graph constructs, n = 1..6
 FAMILIES = [(kind, n) for kind in VERTICES for n in range(1, 7)] + [("path", 7)]
+# members of the saturated closure of the graph (its tubes), at sizes the
+# subset walk could not reach
+CLOSURE_SIZES = {
+    "path": (lambda n: n * (n + 1) // 2, range(1, 25)),
+    "cycle": (lambda n: n * (n - 1) + 1, range(3, 25)),
+    "star": (lambda n: (n - 1) + 2 ** (n - 1), range(1, 11)),
+    "complete": (lambda n: 2 ** n - 1, range(1, 9)),
+}
 
 
 def _f_vector(h):
@@ -306,3 +314,9 @@ class TestClosedForms:
 
     def test_associahedron_h_vector_is_narayana(self):
         assert _h_vector(_f_vector(graph("path", 7))) == [1, 21, 105, 175, 105, 21, 1]
+
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind, (_, ns) in CLOSURE_SIZES.items()
+                                        for n in ns])
+    def test_closure_size(self, kind, n):
+        size, _ = CLOSURE_SIZES[kind]
+        assert len(saturated_closure(graph(kind, n)).members) == size(n)

@@ -369,7 +369,7 @@ def test_from_json_raises_only_package_errors(text):
     _only_package_errors(from_json, text)
 
 
-# at most ten vertices: the graph is saturated over every vertex subset
+# at most ten vertices: a dense graph's closure has up to 2^n - 1 members
 @settings(deadline=None)
 @given(st.text(max_size=20) | st.text(alphabet="ab-# \n", max_size=20))
 def test_graph_from_text_raises_only_package_errors(text):

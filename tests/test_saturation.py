@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nestohedra import (
     Hypergraph,
@@ -17,7 +18,18 @@ from nestohedra import (
 )
 from nestohedra.errors import CarrierMismatchError, NotSubsetError
 
-from helpers import all_atomic_hypergraphs, all_hypergraphs, frozen, paper_a, paper_e
+from helpers import (
+    all_atomic_hypergraphs,
+    all_hypergraphs,
+    frozen,
+    graph,
+    oracle_bare_kernel,
+    oracle_dispensable_subsets,
+    oracle_saturated_closure,
+    paper_a,
+    paper_e,
+    random_atomic,
+)
 
 
 class TestIsSaturated:
@@ -245,3 +257,40 @@ class TestBareAndSummary:
             assert s.dispensables == dispensable_subsets(h)
             assert are_cognate(h, s.saturated_top)
             assert are_cognate(h, s.bare_bottom)
+
+
+def _small_and_graph_hypergraphs():
+    hs = [h for k in range(4) for h in all_hypergraphs(k)]
+    hs += all_atomic_hypergraphs(4)
+    hs += [graph(kind, n) for kind in ("path", "cycle", "star", "complete")
+           for n in range(1, 8)]
+    rng = random.Random(17)
+    hs += [random_atomic(rng, rng.choice((5, 6))) for _ in range(12)]
+    return hs
+
+
+class TestSaturationMatchesSubsetWalk:
+    # the subset walk and greedy deletion are the reference routes
+    CASES = _small_and_graph_hypergraphs()
+
+    def test_closure(self):
+        for h in self.CASES:
+            assert saturated_closure(h) == oracle_saturated_closure(h)
+
+    def test_bare_kernel(self):
+        for h in self.CASES:
+            assert bare_kernel(h) == oracle_bare_kernel(h)
+
+    def test_dispensable_subsets(self):
+        for h in self.CASES:
+            assert dispensable_subsets(h) == oracle_dispensable_subsets(h)
+
+    @settings(deadline=None)
+    @given(st.sets(st.integers(min_value=1, max_value=63), min_size=1, max_size=12))
+    def test_random_member_lists(self, masks):
+        h = Hypergraph.from_sets({a for i, a in enumerate("abcdef") if m >> i & 1}
+                                 for m in masks)
+        hbar = saturated_closure(h)
+        assert hbar == oracle_saturated_closure(h)
+        assert is_saturated(hbar)
+        assert h.members <= hbar.members
