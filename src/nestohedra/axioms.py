@@ -101,35 +101,6 @@ def _preamble(p: FacePoset, label: str) -> tuple[
     return bounded, counter, rank_mask
 
 
-def _interval_connected(p: FacePoset, f: int, g: int,
-                        up: tuple[int, ...], down: tuple[int, ...]) -> bool:
-    """Are the faces strictly between ``f`` and ``g`` connected under
-    comparability?  ``up``/``down`` are the cover bitmasks.
-
-    Every face of the open interval lies above one of its minimal faces
-    (covers of f below g) and below one of its maximal faces (faces
-    covered by g above f), so the interval is connected exactly when
-    those two sets are, linked by the order.  The walk expands only the
-    newly reached faces on each round.
-    """
-    lows = up[f] & p._below[g]
-    highs = down[g] & p._above[f]
-    reached_low = frontier = lows & -lows
-    reached_high = 0
-    while frontier:
-        grow = 0
-        for u in bits_of(frontier):
-            grow |= p._above[u]
-        fresh = grow & highs & ~reached_high
-        reached_high |= fresh
-        grow = 0
-        for v in bits_of(fresh):
-            grow |= p._below[v]
-        frontier = grow & lows & ~reached_low
-        reached_low |= frontier
-    return reached_low == lows and reached_high == highs
-
-
 def verify_axioms(p: FacePoset) -> VerificationReport:
     """Check the least/greatest, flag-length, strong-connectedness and
     diamond properties, reporting witnesses for each failure."""
@@ -166,7 +137,11 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
             depth += 1
         counter.append(("P2", (face_label(p.faces[i]), f"length {depth}")))
 
-    # strong connectedness: only sections of rank >= 2 need the walk
+    # strong connectedness: only sections of rank >= 2 need a check.
+    # Every face strictly between f and g lies above an atom (a cover of
+    # f below g) and below a coatom (a face covered by g above f), so the
+    # open interval is connected exactly when the coatoms' atom sets,
+    # merged while any two overlap, become one set: all the atoms.
     rank_at_least: dict[int, int] = {}
     acc = 0
     for rk in range(r, min(p.ranks, default=r) - 1, -1):
@@ -174,13 +149,23 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
         rank_at_least[rk] = acc
     p3 = True
     sections_checked = 0
+    above, below = p._above, p._below
     for f in range(n):
-        for g in bits_of(p._above[f] & rank_at_least.get(p.ranks[f] + 3, 0)):
+        above_f, up_f = above[f], up[f]
+        for g in bits_of(above_f & rank_at_least.get(p.ranks[f] + 3, 0)):
             sections_checked += 1
-            nodes = (p._above[f] & p._below[g]) & ~(1 << f) & ~(1 << g)
-            if nodes.bit_count() <= 1:
+            # when g covers f, f is the only coatom and the interval is empty
+            sets = [up_f & below[c] for c in bits_of(down[g] & above_f)]
+            if len(sets) <= 1:
                 continue
-            if not _interval_connected(p, f, g, up, down):
+            lows = up_f & below[g]
+            merged, last = sets[0], 0
+            while merged != last and merged != lows:
+                last = merged
+                for atoms in sets:
+                    if atoms & merged:
+                        merged |= atoms
+            if merged != lows:
                 p3 = False
                 counter.append(("P3", (face_label(p.faces[f]),
                                        face_label(p.faces[g]))))

@@ -8,8 +8,11 @@ bitmasks; covers, sections and the lattice operations derive from it.
 
 Construct posets are built from one bitset per member, the faces that
 contain it: the faces above a construct are those holding none of the
-members it lacks.  Sections remap the parent's bitsets.  No builder
-compares faces pairwise.
+members it lacks, and the faces below it those holding all of its
+members.  ``abstract_polytope`` also writes the covers down in closed
+form, since its poset is the face lattice of a simple polytope.  Other
+posets (sections, hand-built ones) derive their down-sets by transposing
+the order and their covers from it.  No builder compares faces pairwise.
 """
 
 from __future__ import annotations
@@ -45,41 +48,64 @@ Face = object  # BOTTOM or a Family (frozenset of frozensets of atoms)
 def face_label(face: Face) -> str:
     """Canonical printable form; members sort by cardinality then atoms.
     Non-family payloads (hand-built posets) fall back to ``str``."""
-    if face is BOTTOM:
-        return "F-1"
-    if isinstance(face, frozenset) and all(isinstance(m, frozenset) for m in face):
-        members = sorted(face, key=set_sort_key)
-        return "{" + ",".join("{%s}" % ",".join(sorted(m)) for m in members) + "}"
-    return str(face)
+    return _labelled([face])[0][0]
+
+
+def _labelled(faces: Iterable[Face]) -> list[tuple[str, list[tuple[str, ...]] | None]]:
+    """Each face's ``face_label`` and its members as sorted atom tuples,
+    in the label's order (None for the bottom and non-family payloads).
+    Every distinct member is sorted and printed once per call."""
+    seen: dict[AtomSet, tuple[tuple[int, tuple[str, ...]], str]] = {}
+    out: list[tuple[str, list[tuple[str, ...]] | None]] = []
+    for face in faces:
+        if face is BOTTOM:
+            out.append(("F-1", None))
+        elif isinstance(face, frozenset) and all(isinstance(m, frozenset) for m in face):
+            keyed = []
+            for m in face:
+                entry = seen.get(m)
+                if entry is None:
+                    key = set_sort_key(m)
+                    entry = seen[m] = (key, "{%s}" % ",".join(key[1]))
+                keyed.append(entry)
+            keyed.sort()
+            out.append(("{" + ",".join(text for _, text in keyed) + "}",
+                        [key[1] for key, _ in keyed]))
+        else:
+            out.append((str(face), None))
+    return out
 
 
 class FacePoset:
     """A finite poset with declared integer ranks.
 
     ``_above[i]`` is the bitmask of faces j with face_i <= face_j
-    (including i); ``_below`` is its transpose.  The cover bitmasks and
-    the checkers' well-formedness verdict (``_fault``, empty when
-    well-formed) are computed on first use and kept.  Faces are
-    hashable payloads, either ``BOTTOM`` or construct families, but
-    hand-built posets may use any hashable labels.
+    (including i); ``_below`` is its transpose.  Construct posets get
+    ``_below`` from their builder and, from ``abstract_polytope``, their
+    cover bitmasks too; every other poset transposes ``_above`` here and
+    computes its covers on first use.  The covers and the checkers'
+    well-formedness verdict (``_fault``, empty when well-formed) are kept
+    once known.  Faces are hashable payloads, either ``BOTTOM`` or
+    construct families, but hand-built posets may use any hashable
+    labels.
     """
 
     __slots__ = ("faces", "ranks", "_above", "_below", "_index", "_covers", "_fault")
 
     def __init__(self, faces: Sequence[Face], ranks: Sequence[int],
-                 above: Sequence[int]):
+                 above: Sequence[int], _below: Sequence[int] | None = None):
         self.faces = tuple(faces)
         self.ranks = tuple(ranks)
         self._above = tuple(above)
-        n = len(self.faces)
-        below = [0] * n
-        for i in range(n):
-            m = self._above[i]
-            while m:
-                low = m & -m
-                below[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        self._below = tuple(below)
+        if _below is None:
+            below = [0] * len(self.faces)
+            for i, m in enumerate(self._above):
+                while m:
+                    low = m & -m
+                    below[low.bit_length() - 1] |= 1 << i
+                    m ^= low
+            _below = below
+        self._below = tuple(_below)
         self._covers: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._fault: str | None = None
         self._index = {}
@@ -95,11 +121,14 @@ class FacePoset:
         """Reverse inclusion on construct families, with ``BOTTOM`` least.
 
         Each member gets the bitset of faces containing it; face j lies
-        above face i exactly when j contains no member missing from i.
+        above face i exactly when j contains no member missing from i,
+        and below it exactly when j contains every member of i.
         """
-        items = sorted(faces_ranks, key=lambda fr: (fr[1], face_label(fr[0])))
-        faces = [f for f, _ in items]
-        ranks = [r for _, r in items]
+        items = list(faces_ranks)
+        labels = _labelled(f for f, _ in items)
+        order = sorted(range(len(items)), key=lambda i: (items[i][1], labels[i][0]))
+        faces = [items[i][0] for i in order]
+        ranks = [items[i][1] for i in order]
         full = (1 << len(faces)) - 1
         non_bottom = full
         contains: dict[AtomSet, int] = {}
@@ -109,17 +138,24 @@ class FacePoset:
                 continue
             for m in f:
                 contains[m] = contains.get(m, 0) | 1 << i
+        bottoms = full & ~non_bottom
         above = []
-        for f in faces:
+        below = []
+        for i, f in enumerate(faces):
             if f is BOTTOM:
                 above.append(full)
+                below.append(1 << i)
                 continue
             excluded = 0
             for m, holders in contains.items():
                 if m not in f:
                     excluded |= holders
             above.append(non_bottom & ~excluded)
-        return cls(faces, ranks, above)
+            inside = non_bottom
+            for m in f:
+                inside &= contains[m]
+            below.append(bottoms | inside)
+        return cls(faces, ranks, above, below)
 
     @classmethod
     def from_covers(cls, faces_ranks: Iterable[tuple[Face, int]],
@@ -233,12 +269,23 @@ def abstract_polytope(h: Hypergraph) -> FacePoset:
     A construct of cardinality c gets rank |carrier| - c; the bottom has
     rank -1 and the set of connected components of the carrier sits on
     top at rank |carrier| - (number of components).
+
+    The covers come in closed form: the faces covering a construct C are
+    C minus one member outside the top face, and the faces covering the
+    bottom are the constructions.  Both are exactly the faces one rank
+    up in the order, so each face covers the faces one rank down below it.
     """
     constructs = enumerate_constructs(h)
     n = h.n_atoms
     faces_ranks: list[tuple[Face, int]] = [(BOTTOM, -1)]
     faces_ranks += [(c, n - len(c)) for c in constructs]
-    return FacePoset._from_families(faces_ranks)
+    p = FacePoset._from_families(faces_ranks)
+    at_rank: dict[int, int] = {}
+    for i, r in enumerate(p.ranks):
+        at_rank[r] = at_rank.get(r, 0) | 1 << i
+    p._covers = (tuple(a & at_rank.get(r + 1, 0) for a, r in zip(p._above, p.ranks)),
+                 tuple(b & at_rank.get(r - 1, 0) for b, r in zip(p._below, p.ranks)))
+    return p
 
 
 def f_vector(p: FacePoset) -> tuple[int, ...]:
@@ -446,8 +493,8 @@ def poset_isomorphic(p1: FacePoset, p2: FacePoset) -> bool:
 def to_dot(p: FacePoset) -> str:
     """Rank-layered Hasse diagram in DOT form."""
     lines = ["digraph face_poset {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, f in enumerate(p.faces):
-        lines.append(f'  n{i} [label="{face_label(f)}"];')
+    for i, (label, _) in enumerate(_labelled(p.faces)):
+        lines.append(f'  n{i} [label="{label}"];')
     for r in sorted(set(p.ranks)):
         same = " ".join(f"n{i};" for i, rr in enumerate(p.ranks) if rr == r)
         lines.append("  { rank=same; %s }" % same)
@@ -459,9 +506,10 @@ def to_dot(p: FacePoset) -> str:
 
 def to_json_dict(p: FacePoset) -> dict:
     faces = []
-    for i, f in enumerate(p.faces):
-        members = None if f is BOTTOM else [
-            sorted(m) for m in sorted(f, key=set_sort_key)]
-        faces.append({"id": i, "rank": p.ranks[i],
-                      "label": face_label(f), "members": members})
+    for i, (f, (label, members)) in enumerate(zip(p.faces, _labelled(p.faces))):
+        if members is not None:
+            members = [list(m) for m in members]
+        elif f is not BOTTOM:  # a hand-built payload, read as a family
+            members = [sorted(m) for m in sorted(f, key=set_sort_key)]
+        faces.append({"id": i, "rank": p.ranks[i], "label": label, "members": members})
     return {"faces": faces, "covers": [list(c) for c in p.covers()]}

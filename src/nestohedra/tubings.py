@@ -22,7 +22,7 @@ from .errors import (
     NestohedraError,
     NotTubesError,
 )
-from .constructions import _masks_in, is_construct
+from .constructions import _ensure_asc, _masks_in, antichains_all_miss
 from .hypergraph import (
     AtomSet,
     Family,
@@ -142,7 +142,11 @@ def is_tubing(g: GraphHypergraph, t: Iterable[Iterable[str]]) -> bool:
     found = _masks_in(h, t)
     if found is None:
         raise NotTubesError("a tubing may only use members of the graph")
-    masks = sorted(set(found))
+    return _is_tubing(h, sorted(set(found)))
+
+
+def _is_tubing(h: Hypergraph, masks: list[int]) -> bool:
+    """``is_tubing`` on distinct member masks of the graph's closure ``h``."""
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
             if _clash(a, b, h.members):
@@ -205,17 +209,14 @@ def tubings_equal_constructs(g: GraphHypergraph, cap: int = 6) -> TubingEquivale
     families_checked = 0
     counterexample: Family | None = None
 
-    def family_of(chosen: list[int]) -> Family:
-        fam = {h.atom_set(others[i]) for i in chosen}
-        fam.add(frozenset(h.atoms))
-        return frozenset(fam)
-
     def walk(start: int, chosen: list[int]) -> bool:
+        # every family holds the carrier, so the construct test is the
+        # antichain test alone
         nonlocal families_checked, counterexample
-        fam = family_of(chosen)
+        masks = [others[i] for i in chosen] + [h.carrier_mask]
         families_checked += 1
-        if is_tubing(g, fam) != is_construct(h, fam):
-            counterexample = fam
+        if _is_tubing(h, masks) != antichains_all_miss(h.members, masks):
+            counterexample = h.family(masks)
             return False
         for i in range(start, n):
             if all(compatible[c][i] for c in chosen):
@@ -223,6 +224,7 @@ def tubings_equal_constructs(g: GraphHypergraph, cap: int = 6) -> TubingEquivale
                     return False
         return True
 
+    _ensure_asc(h)
     ok = walk(0, [])
     return TubingEquivalenceReport(ok=ok, counterexample=counterexample,
                                    pairs_checked=pairs_checked,

@@ -16,6 +16,7 @@ from nestohedra import (
     f_vector,
     face_lattice_isomorphic,
     finest_partition,
+    is_construct,
     is_construction,
     parse_s_construction,
     realize,
@@ -25,7 +26,7 @@ from nestohedra import (
     verify_axioms,
     verify_inductive,
 )
-from nestohedra.tubings import as_graph, is_construct, is_loose
+from nestohedra.tubings import as_graph, is_loose
 
 from helpers import (
     L,

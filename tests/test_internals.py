@@ -16,6 +16,7 @@ import pytest
 
 import nestohedra
 from nestohedra import (
+    FacePoset,
     Hypergraph,
     abstract_polytope,
     catalog_lookup,
@@ -24,6 +25,7 @@ from nestohedra import (
     face_lattice_isomorphic,
     poset_isomorphic,
     realize,
+    tubings_equal_constructs,
     verify_axioms,
     verify_inductive,
 )
@@ -161,7 +163,9 @@ class TestInvariantsUnderOptimize:
     """Internal invariants raise ``NestohedraError``; an ``assert`` would
     vanish under ``python -O``."""
 
-    @pytest.mark.parametrize("fn", [_forest, _block_fault, _coordinates])
+    @pytest.mark.parametrize("fn", [_forest, _block_fault, _coordinates,
+                                    FacePoset._from_families, abstract_polytope,
+                                    verify_axioms, tubings_equal_constructs])
     def test_no_assert_statements(self, fn):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
@@ -178,3 +182,14 @@ class TestInvariantsUnderOptimize:
         assert debug is False
         assert vertices == [list(c) for _, c in
                             realize(catalog_lookup(name).hypergraph).vertices]
+
+    @pytest.mark.parametrize("argv", [["lattice", "H'_4321", "--format", "json"],
+                                      ["verify", "H'_4321"]])
+    def test_cli_under_optimize(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(nestohedra.__file__).parents[1]))
+        runs = [subprocess.run([sys.executable, *flags, "-m", "nestohedra.cli", *argv],
+                               env=env, capture_output=True, text=True, timeout=120)
+                for flags in ([], ["-O"])]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[1].stdout == runs[0].stdout
+        assert runs[0].stdout

@@ -27,10 +27,11 @@ from nestohedra import (
     verify_axioms,
     verify_inductive,
 )
-from nestohedra.facelattice import _induced
+from nestohedra.facelattice import _induced, _labelled, to_json_dict
+from nestohedra.hypergraph import set_sort_key
 
-from helpers import (all_asc_hypergraphs, graph, negative_posets, paper_a,
-                     random_atomic)
+from helpers import (all_asc_hypergraphs, all_atomic_hypergraphs, diamond_poset,
+                     graph, negative_posets, paper_a, random_atomic)
 
 
 def _reverse_inclusion(a, b):
@@ -128,6 +129,87 @@ class TestDerivedPosets:
                 faces = [(p.faces[i], p.ranks[i]) for i in keep]
                 got = _induced(p, ((1 << len(p.faces)) - 1) & ~(1 << drop))
                 assert_matches(got, faces, p.leq)
+
+
+# ---------------------------------------------------------------------------
+# what the builders know: down-sets, covers and labels
+# ---------------------------------------------------------------------------
+
+def assert_build_time_shortcuts(p, closed_form_covers=True):
+    """The down-sets (and, for ``abstract_polytope``, the covers) a builder
+    wrote down equal the generic transpose and cover scan of its order."""
+    generic = FacePoset(p.faces, p.ranks, p._above)
+    assert p._below == generic._below
+    if closed_form_covers:
+        assert p._covers is not None  # written at build time
+        assert p._covers == generic._cover_masks()
+
+
+class TestBuildTimeShortcuts:
+    def test_every_catalog_entry(self):
+        for e in catalog():
+            if is_atomic(e.hypergraph):
+                assert_build_time_shortcuts(abstract_polytope(e.hypergraph))
+
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_graph_nestohedra(self, kind, n):
+        assert_build_time_shortcuts(abstract_polytope(graph(kind, n)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_atomic_hypergraph(self, k):
+        for h in all_atomic_hypergraphs(k):
+            assert_build_time_shortcuts(abstract_polytope(h))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_atomic_hypergraphs(self, seed):
+        h = random_atomic(random.Random(1000 + seed), 5 + seed % 2)
+        assert_build_time_shortcuts(abstract_polytope(h))
+
+    def test_empty_hypergraph(self):
+        assert_build_time_shortcuts(abstract_polytope(Hypergraph.from_sets([])))
+
+    def test_facet_sections_and_products(self):
+        for h in list(all_asc_hypergraphs(4))[::7]:
+            for y in h.member_sets - {frozenset(h.atoms)}:
+                assert_build_time_shortcuts(facet_section(h, y), False)
+        a, b = abstract_polytope(graph("path", 3)), abstract_polytope(
+            Hypergraph.from_sets([{"x"}, {"y"}, {"z"}, {"x", "y"}]))
+        assert_build_time_shortcuts(otimes(a, b), False)
+
+
+def _reference_label(face):
+    """``face_label`` written out directly, one face at a time."""
+    if face is BOTTOM:
+        return "F-1"
+    if isinstance(face, frozenset) and all(isinstance(m, frozenset) for m in face):
+        members = sorted(face, key=set_sort_key)
+        return "{" + ",".join("{%s}" % ",".join(sorted(m)) for m in members) + "}"
+    return str(face)
+
+
+class TestLabels:
+    def test_batch_labels_agree_with_face_label(self):
+        ten, two = frozenset({"10"}), frozenset({"2"})
+        faces = [BOTTOM, frozenset(), "top", "v", ("a", 1), frozenset({"a", "b"}),
+                 frozenset({ten, two, ten | two}), frozenset({two, ten | two}),
+                 frozenset({frozenset({"a"}), frozenset({"a", "b"})})]
+        for h in (paper_a(), graph("cycle", 4)):
+            faces += abstract_polytope(h).faces
+        labelled = _labelled(faces)
+        assert [label for label, _ in labelled] == [face_label(f) for f in faces]
+        assert [face_label(f) for f in faces] == [_reference_label(f) for f in faces]
+        for f, (_, members) in zip(faces, labelled):
+            if isinstance(f, frozenset) and all(isinstance(m, frozenset) for m in f):
+                assert members == [tuple(sorted(m)) for m in sorted(f, key=set_sort_key)]
+            else:
+                assert members is None
+        assert face_label(frozenset({ten, two, ten | two})) == "{{10},{2},{10,2}}"
+
+    def test_json_members_of_hand_built_payloads(self):
+        p = diamond_poset()
+        got = [face["members"] for face in to_json_dict(p)["faces"]]
+        assert got == [[sorted(m) for m in sorted(f, key=set_sort_key)] for f in p.faces]
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +325,23 @@ def test_negative_corpus_reports_unchanged():
         p = corpus[name]
         assert _summary(verify_axioms(p)) == axioms, name
         assert _summary(verify_inductive(p)) == inductive, name
+
+
+def test_report_of_a_poset_failing_only_p3():
+    # two disjoint triangles under one top: bounded, every flag has length
+    # 4 and every diamond holds, but the section between the bottom and
+    # the top falls apart
+    vs = ["a", "b", "c", "x", "y", "z"]
+    es = ["ab", "bc", "ac", "xy", "yz", "xz"]
+    faces = [("bot", -1)] + [(v, 0) for v in vs] + [(e, 1) for e in es] + [("top", 2)]
+    covers = [("bot", v) for v in vs] + [(e[0], e) for e in es]
+    covers += [(e[1], e) for e in es] + [(e, "top") for e in es]
+    report = verify_axioms(FacePoset.from_covers(faces, covers))
+    assert report.to_dict() == {
+        "ok": False, "p1_ok": True, "p2_ok": True, "p3_ok": False, "p4_ok": True,
+        "rank": 2, "flags_checked": 12, "sections_checked": 1,
+        "counterexamples": [{"property": "P3", "witnesses": ["bot", "top"]}],
+    }
 
 
 def _walked_flags(p):
