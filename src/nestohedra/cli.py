@@ -23,9 +23,11 @@ from .catalog import catalog_lookup, chart_edges, fvector_table
 from .axioms import verify_axioms, verify_inductive
 from .constructions import (
     _block_fault,
+    _ensure_atomic,
+    _peel,
+    _word,
     count_constructions,
     enumerate_constructions,
-    to_s_construction,
 )
 from .errors import NestohedraError, UnknownNameError
 from .hypergraph import (
@@ -88,7 +90,9 @@ def _cmd_info(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     _, h = _load(args.source)
-    words = sorted(str(to_s_construction(h, k)) for k in enumerate_constructions(h))
+    _ensure_atomic(h)
+    # the recursion's own output needs no second construction check
+    words = sorted(str(_word(h, k)) for k in _peel(h.members, False))
     for w in words:
         print(w)
     return 0

@@ -23,7 +23,7 @@ commutative ``+``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import product
 from math import prod
 from typing import Callable, Iterable, Sequence
@@ -54,7 +54,7 @@ from .saturation import is_saturated, saturated_closure
 FConstruction = frozenset
 
 
-@lru_cache(maxsize=None)
+@cache
 def is_asc(h: Hypergraph) -> bool:
     """Atomic, saturated and connected."""
     return is_atomic(h) and is_saturated(h) and is_connected(h)
@@ -117,19 +117,16 @@ def superficial_elements(m: Iterable[Iterable[str]], x: Iterable[str]) -> frozen
 # enumeration (peeling recursion)
 # ---------------------------------------------------------------------------
 
-# memoized on the member family (and the kind of result) alone: results
+# cached on the member family (and the kind of result) alone: results
 # depend only on the bitmask structure, so distinct hypergraphs sharing
-# an ambient indexing reuse each other's subproblems
-_ENUM_MEMO: dict[tuple[frozenset[int], bool], frozenset[frozenset[int]]] = {}
-_COUNT_MEMO: dict[frozenset[int], int] = {}
+# an ambient indexing reuse each other's subproblems.  Peeling reads only
+# connected components and their carriers, which a hypergraph shares with
+# its saturated closure, so the two peel alike and callers peel the
+# members they are given.
 
-
-def _peel(members: frozenset[int], constructs: bool = False) -> frozenset[frozenset[int]]:
+@cache
+def _peel(members: frozenset[int], constructs: bool) -> frozenset[frozenset[int]]:
     """Constructions of the member family, or its constructs."""
-    key = (members, constructs)
-    got = _ENUM_MEMO.get(key)
-    if got is not None:
-        return got
     comps = family_components(members)
     if len(comps) == 1:
         carrier = family_union(members)
@@ -140,35 +137,31 @@ def _peel(members: frozenset[int], constructs: bool = False) -> frozenset[frozen
                 s = (s - 1) & carrier
         else:
             peels = [1 << b for b in bits_of(carrier)]
-        out = frozenset(k | {carrier} for s in peels
-                        for k in _peel(frozenset(m for m in members if not m & s),
-                                       constructs))
-    else:
-        out = frozenset(frozenset().union(*combo)
-                        for combo in product(*(_peel(c, constructs) for c in comps)))
-    _ENUM_MEMO[key] = out
-    return out
+        return frozenset(k | {carrier} for s in peels
+                         for k in _peel(frozenset(m for m in members if not m & s),
+                                        constructs))
+    return frozenset(frozenset().union(*combo)
+                     for combo in product(*(_peel(c, constructs) for c in comps)))
 
 
+@cache
 def _count(members: frozenset[int]) -> int:
-    got = _COUNT_MEMO.get(members)
-    if got is not None:
-        return got
     comps = family_components(members)
     if len(comps) == 1:
-        out = sum(_count(frozenset(m for m in members if not m >> b & 1))
-                  for b in bits_of(family_union(members)))
-    else:
-        out = prod(_count(c) for c in comps)
-    _COUNT_MEMO[members] = out
-    return out
+        return sum(_count(frozenset(m for m in members if not m >> b & 1))
+                   for b in bits_of(family_union(members)))
+    return prod(_count(c) for c in comps)
+
+
+def _ensure_atomic(h: Hypergraph) -> None:
+    if not is_atomic(h):
+        raise NotAtomicError("constructions are defined for atomic hypergraphs")
 
 
 def enumerate_constructions(h: Hypergraph) -> frozenset[Family]:
     """All constructions of an atomic hypergraph, as member families."""
-    if not is_atomic(h):
-        raise NotAtomicError("constructions are defined for atomic hypergraphs")
-    return frozenset(h.family(k) for k in _peel(h.members))
+    _ensure_atomic(h)
+    return frozenset(h.family(k) for k in _peel(h.members, False))
 
 
 def count_constructions(h: Hypergraph) -> int:
@@ -177,8 +170,7 @@ def count_constructions(h: Hypergraph) -> int:
     The count oracle for the peeling recursion; the two are held against
     each other in the tests and by ``nestohedra verify``.
     """
-    if not is_atomic(h):
-        raise NotAtomicError("constructions are defined for atomic hypergraphs")
+    _ensure_atomic(h)
     return _count(h.members)
 
 
@@ -249,8 +241,7 @@ def _construction_masks(h: Hypergraph, k: Iterable[Iterable[str]]) -> list[int]:
     Works for every atomic hypergraph: each connected block of the
     saturated closure must receive a block construction.
     """
-    if not is_atomic(h):
-        raise NotAtomicError("constructions are defined for atomic hypergraphs")
+    _ensure_atomic(h)
     masks = []
     for s in k:
         try:
@@ -298,11 +289,12 @@ def _forest(k: Iterable[int]) -> dict[int, tuple[int, int]]:
     return out
 
 
-def _read_forest(h: Hypergraph, k: Iterable[Iterable[str]],
+def _read_forest(h: Hypergraph, masks: Iterable[int],
                  node: Callable[[str, list], object], top: Callable[[list], object]):
-    """Read the checked construction ``k`` off its forest bottom up, with
-    ``node(root atom, child results)`` per member and ``top`` on the trees."""
-    forest = _forest(_construction_masks(h, k))
+    """Read the construction with the already-checked member ``masks`` off
+    its forest bottom up, with ``node(root atom, child results)`` per
+    member and ``top`` on the trees."""
+    forest = _forest(masks)
     children: dict[int, list[int]] = {}
     for m, (parent, _) in forest.items():
         children.setdefault(parent, []).append(m)
@@ -316,7 +308,8 @@ def _read_forest(h: Hypergraph, k: Iterable[Iterable[str]],
 def to_f_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> FConstruction:
     """Forest form of a construction: each tree bundles its root atom
     with the set of its child trees."""
-    return _read_forest(h, k, lambda atom, trees: frozenset({atom, *trees}), frozenset)
+    return _read_forest(h, _construction_masks(h, k),
+                        lambda atom, trees: frozenset({atom, *trees}), frozenset)
 
 
 # ---------------------------------------------------------------------------
@@ -374,32 +367,35 @@ def _sterm_str(t: STerm, in_sum: bool) -> str:
 
 
 def sterm_atoms(t: STerm) -> frozenset[str]:
-    if isinstance(t, Empty):
-        return frozenset()
-    if isinstance(t, Prefix):
-        return sterm_atoms(t.rest) | {t.atom}
-    if isinstance(t, Sum):
-        return frozenset().union(*(sterm_atoms(s) for s in t.terms))
-    raise TypeError(f"not an STerm: {t!r}")
+    """The atoms a word names: the union of the family it decodes to."""
+    return frozenset().union(*sterm_to_family(t))
 
 
 def sterm_to_family(t: STerm) -> Family:
-    """Decode a word back into the member family it constructs."""
+    """Decode a word back into the member family it constructs: a prefix
+    adds the member made of its atom and every atom of the rest."""
     if isinstance(t, Empty):
         return frozenset()
     if isinstance(t, Prefix):
-        return sterm_to_family(t.rest) | {sterm_atoms(t)}
+        rest = sterm_to_family(t.rest)
+        return rest | {frozenset().union(*rest) | {t.atom}}
     if isinstance(t, Sum):
         return frozenset().union(*(sterm_to_family(s) for s in t.terms))
     raise TypeError(f"not an STerm: {t!r}")
 
 
-def to_s_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> STerm:
-    """Canonical word form of a construction."""
+def _word(h: Hypergraph, masks: Iterable[int]) -> STerm:
+    """Canonical word of the construction with the already-checked
+    member ``masks``."""
     def word(terms: list[STerm]) -> STerm:
         return make_sum(terms) if terms else EMPTY
 
-    return _read_forest(h, k, lambda atom, terms: Prefix(atom, word(terms)), word)
+    return _read_forest(h, masks, lambda atom, terms: Prefix(atom, word(terms)), word)
+
+
+def to_s_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> STerm:
+    """Canonical word form of a construction."""
+    return _word(h, _construction_masks(h, k))
 
 
 # ---------------------------------------------------------------------------

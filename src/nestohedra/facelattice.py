@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     BadFactorError,
     CarrierOverlapError,
+    HypergraphError,
     NestohedraError,
     NotComparableError,
     NotFacetError,
@@ -165,10 +166,9 @@ class FacePoset:
         items = sorted(faces_ranks, key=lambda fr: (fr[1], face_label(fr[0])))
         faces = [f for f, _ in items]
         ranks = [r for _, r in items]
-        idx = {f: i for i, f in enumerate(faces)}
-        n = len(faces)
-        above = [1 << i for i in range(n)]
-        pairs = [(idx[a], idx[b]) for a, b in covers]
+        above = [1 << i for i in range(len(faces))]
+        index = cls(faces, ranks, above).index  # raises on faces not listed
+        pairs = [(index(a), index(b)) for a, b in covers]
         changed = True
         while changed:
             changed = False
@@ -335,7 +335,7 @@ def otimes(*posets: FacePoset) -> FacePoset:
     bottoms are conflated, order is componentwise and rank adds.
     """
     if not posets:
-        raise ValueError("otimes needs at least one poset")
+        raise HypergraphError("otimes needs at least one poset")
     seen: set[str] = set()
     for p in posets:
         atoms = _poset_atoms(p)
@@ -394,18 +394,14 @@ def continuation(h: Hypergraph, y: Iterable[str],
 
 
 def facet_section(h: Hypergraph, y: Iterable[str]) -> FacePoset:
-    """The part of the face poset at and below the facet given by ``y``:
+    """The section of the face poset at and below the facet {y, carrier}:
     all constructs containing ``y``, plus the bottom."""
     _ensure_asc(h)
     ys = frozenset(y)
-    if ys not in h.member_sets or ys == frozenset(h.atoms):
+    carrier = frozenset(h.atoms)
+    if ys not in h.member_sets or ys == carrier:
         raise NotFacetError(f"{sorted(ys)} does not give a facet")
-    n = h.n_atoms
-    faces_ranks: list[tuple[Face, int]] = [(BOTTOM, -1)]
-    for c in enumerate_constructs(h):
-        if ys in c:
-            faces_ranks.append((c, n - len(c)))
-    return FacePoset._from_families(faces_ranks)
+    return section(abstract_polytope(h), frozenset({ys, carrier}), BOTTOM)
 
 
 def section(p: FacePoset, g: Face, f: Face) -> FacePoset:

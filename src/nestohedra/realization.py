@@ -117,7 +117,8 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     block_masks = [family_union(c) for c in comps]
     canonical = hbar.canonical_masks()
     rank = {m: i for i, m in enumerate(canonical)}
-    cons = sorted(_peel(hbar.members), key=lambda k: sorted(rank[m] for m in k))
+    # h peels like its closure: both have the same connected subsets
+    cons = sorted(_peel(h.members, False), key=lambda k: sorted(rank[m] for m in k))
     vertices = [(h.family(k), _coordinates(k, n)) for k in cons]
     if len({coords for _, coords in vertices}) != len(vertices):
         raise NestohedraError("internal error: coordinate collision")
@@ -257,20 +258,15 @@ def _projected_coords(rp: RealizedPolytope) -> list[tuple[int, ...]]:
     return [tuple(coords[i] for i in keep) for _, coords in rp.vertices]
 
 
-def _shared_facets(rp: RealizedPolytope, u: int, v: int) -> int:
-    return sum(1 for a, b in zip(rp.incidence[u], rp.incidence[v]) if a and b)
-
-
-def _cycle(rp: RealizedPolytope, members: list[int], shared: int) -> list[int]:
-    """Walk a polygon: consecutive vertices share ``shared`` extra facets."""
+def _cycle(adjacent: list[list[int]], members: list[int]) -> list[int]:
+    """Walk the polygon on ``members`` along the edges in ``adjacent``."""
+    inside = set(members)
     start = min(members)
     cycle = [start]
     prev = -1
     cur = start
     while True:
-        neighbours = sorted(w for w in members
-                            if w != cur and _shared_facets(rp, cur, w) == shared)
-        nxt = next(w for w in neighbours if w != prev)
+        nxt = next(w for w in adjacent[cur] if w in inside and w != prev)
         if nxt == start:
             return cycle
         cycle.append(nxt)
@@ -280,27 +276,26 @@ def _cycle(rp: RealizedPolytope, members: list[int], shared: int) -> list[int]:
 def to_off(rp: RealizedPolytope) -> str:
     """OFF export for dimension <= 3, coordinates exact integers.
 
-    Facet polygons are vertex index cycles found by walking each
-    facet's edge graph.
+    Two vertices of a simple d-polytope span an edge exactly when they
+    share d - 1 facets.  That one adjacency list gives the edge count and
+    every polygon: each facet of a 3-polytope, or a polygon itself, is
+    walked as a cycle along it.
     """
     if rp.dimension > 3:
         raise NestohedraError("OFF export covers dimension <= 3 only")
     coords = _projected_coords(rp)
     padded = [c + (0,) * (3 - len(c)) for c in coords]
     nv = len(padded)
-    faces: list[list[int]] = []
+    on = [frozenset(j for j, x in enumerate(row) if x) for row in rp.incidence]
+    adjacent = [[v for v in range(nv)
+                 if v != u and len(on[u] & on[v]) == rp.dimension - 1] for u in range(nv)]
     if rp.dimension == 3:
-        for j in range(len(rp.facet_specs)):
-            members = [i for i in range(nv) if rp.incidence[i][j]]
-            faces.append(_cycle(rp, members, 2))
-        edge_count = sum(1 for u in range(nv) for v in range(u + 1, nv)
-                         if _shared_facets(rp, u, v) == 2)
-    elif rp.dimension == 2:
-        faces.append(_cycle(rp, list(range(nv)), 1))
-        edge_count = nv
+        polygons = [[i for i in range(nv) if j in on[i]]
+                    for j in range(len(rp.facet_specs))]
     else:
-        edge_count = max(nv - 1, 0)
-    lines = ["OFF", f"{nv} {len(faces)} {edge_count}"]
+        polygons = [list(range(nv))] if rp.dimension == 2 else []
+    faces = [_cycle(adjacent, p) for p in polygons]
+    lines = ["OFF", f"{nv} {len(faces)} {sum(map(len, adjacent)) // 2}"]
     for c in padded:
         lines.append(" ".join(str(x) for x in c))
     for f in faces:

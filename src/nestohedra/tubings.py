@@ -99,15 +99,12 @@ def _parse_edges(text: str) -> tuple[set[frozenset[str]], set[str]]:
 
 
 def is_graph_hypergraph(h: Hypergraph) -> bool:
-    """Is ``h`` the closure of singletons, pairs and the full carrier?"""
-    if not h.members:
+    """Is ``h`` the closure of singletons, pairs and the full carrier,
+    that is, what ``as_graph`` builds from its two-atom members?"""
+    if not h.atoms:
         return False
-    if h.carrier_mask not in h.members:
-        return False
-    fams = {h.atom_set(m) for m in h.members if m.bit_count() in (1, 2)}
-    fams.add(frozenset(h.atoms))
-    base = Hypergraph.from_sets(fams, carrier=h.atoms)
-    return saturated_closure(base) == h
+    edges = [h.atom_set(m) for m in h.members if m.bit_count() == 2]
+    return as_graph(edges, h.atoms).underlying == h
 
 
 def is_loose(g: GraphHypergraph) -> tuple[bool, frozenset[AtomSet]]:

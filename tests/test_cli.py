@@ -57,6 +57,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("setting, verdict", [
+        ("1", "\x1b[32mPASS\x1b[0m"), ("0", "PASS"), (None, "PASS")])
+    def test_color_setting(self, capsys, monkeypatch, setting, verdict):
+        if setting is None:
+            monkeypatch.delenv("NESTOHEDRA_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("NESTOHEDRA_COLOR", setting)
+        assert run(["verify", "H_1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.endswith(" " + verdict) for line in lines)
+
     def test_all_checks_listed(self, capsys):
         assert run(["verify", "H'_4321"]) == 0
         out = capsys.readouterr().out

@@ -17,6 +17,7 @@ from nestohedra import (
     superficial_elements,
     to_f_construction,
 )
+from nestohedra.constructions import _peel
 from nestohedra.errors import (
     NotAConstructionError,
     NotASCError,
@@ -245,6 +246,18 @@ class TestPeelingMatchesPowerSet:
     def test_constructs(self):
         for h in _peeling_inputs():
             assert enumerate_constructs(h) == oracle_constructs(h), h
+
+
+class TestPeelingIgnoresSaturation:
+    """Peeling reads only connected components and their carriers, which a
+    hypergraph shares with its saturated closure; ``realize`` peels the
+    hypergraph and reads facets off the closure on that ground."""
+
+    @pytest.mark.parametrize("constructs", [False, True])
+    def test_hypergraph_peels_like_its_closure(self, constructs):
+        for h in _peeling_inputs():
+            assert _peel(h.members, constructs) == \
+                _peel(saturated_closure(h).members, constructs), h
 
 
 # closed forms, computed without the library

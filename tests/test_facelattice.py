@@ -6,6 +6,7 @@ import pytest
 
 from nestohedra import (
     BOTTOM,
+    FacePoset,
     Hypergraph,
     abstract_polytope,
     catalog_lookup,
@@ -28,6 +29,8 @@ from nestohedra import (
 from nestohedra.errors import (
     BadFactorError,
     CarrierOverlapError,
+    HypergraphError,
+    NestohedraError,
     NotComparableError,
     NotFacetError,
 )
@@ -209,6 +212,10 @@ class TestOtimes:
         p = abstract_polytope(Hypergraph.from_sets([{"x"}]))
         with pytest.raises(CarrierOverlapError):
             otimes(p, p)
+
+    def test_no_posets(self):
+        with pytest.raises(HypergraphError, match="at least one poset"):
+            otimes()
 
     def test_matches_component_product(self):
         import helpers
@@ -438,6 +445,12 @@ class TestSection:
         p = abstract_polytope(abar())
         with pytest.raises(NotComparableError):
             section(p, L, M)
+
+
+class TestFromCovers:
+    def test_unknown_face(self):
+        with pytest.raises(NestohedraError, match="not a face: zz"):
+            FacePoset.from_covers([("bot", -1), ("a", 0)], [("bot", "a"), ("a", "zz")])
 
 
 class TestExports:

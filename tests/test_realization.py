@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -395,6 +396,15 @@ class TestExports:
         nv, nf, ne = map(int, lines[1].split())
         assert (nv, nf) == (10, 7)
         assert nv - ne + nf == 2
+
+    def test_off_catalog_digest(self):
+        # every catalog entry realizes in dimension <= 3; the digest pins
+        # the vertex order, edge counts and facet polygon walks
+        digest = hashlib.sha256()
+        for e in catalog():
+            digest.update(to_off(realize(e.hypergraph)).encode())
+        assert digest.hexdigest() == \
+            "9928781cd69ba428996894f5cac5aaa194b16c97ccd6c976106f989f5e29ffe0"
 
     def test_off_segment_and_point(self):
         seg = realize(Hypergraph.from_sets([{"x"}, {"y"}, {"x", "y"}]))

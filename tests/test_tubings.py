@@ -198,3 +198,8 @@ class TestGraphRecognition:
 
     def test_empty_not_a_graph(self):
         assert not is_graph_hypergraph(Hypergraph.from_sets([]))
+
+    @pytest.mark.parametrize("members", [["ab"], ["ab", "bc", "abc"], ["a", "ab"]])
+    def test_missing_singletons_not_a_graph(self, members):
+        # every graph closure holds all singletons of its carrier
+        assert not is_graph_hypergraph(Hypergraph.from_sets(members))
