@@ -395,7 +395,11 @@ def continuation(h: Hypergraph, y: Iterable[str],
 
 def facet_section(h: Hypergraph, y: Iterable[str]) -> FacePoset:
     """The section of the face poset at and below the facet {y, carrier}:
-    all constructs containing ``y``, plus the bottom."""
+    all constructs containing ``y``, plus the bottom.
+
+    Each call builds the whole ``abstract_polytope(h)``; to take the
+    section of every facet, build it once and call ``section`` on it
+    for each facet."""
     _ensure_asc(h)
     ys = frozenset(y)
     carrier = frozenset(h.atoms)
@@ -415,8 +419,10 @@ def section(p: FacePoset, g: Face, f: Face) -> FacePoset:
 def _induced(p: FacePoset, keep: int, shift: int = 0) -> FacePoset:
     """The sub-order of ``p`` on the faces in the bitmask ``keep``, ranks
     lowered by ``shift`` and faces re-sorted like every other builder."""
-    old = sorted(bits_of(keep),
-                 key=lambda i: (p.ranks[i] - shift, face_label(p.faces[i])))
+    kept = list(bits_of(keep))
+    label = {i: text for i, (text, _) in
+             zip(kept, _labelled(p.faces[i] for i in kept))}
+    old = sorted(kept, key=lambda i: (p.ranks[i], label[i]))
     new_of = {i: a for a, i in enumerate(old)}
     above = []
     for a, i in enumerate(old):

@@ -3,12 +3,16 @@
 Every member X of the (saturated closure of the) hypergraph carves the
 halfspace sum(x_i for i in X) >= 3**|X|; the polytope lives inside the
 hyperplane where the full-carrier sum holds with equality.  A vertex is
-read off its construction as a forest: the root (superficial) atom of
-each member X gets 3**|X| minus 3**|Y| summed over the children Y of X,
-the largest members strictly inside X.  Every coordinate is an exact
+read off its construction in one pass.  The members of a construction
+are pairwise nested or disjoint, so visiting them by size fixes one new
+atom per member, its root (superficial) atom, which gets 3**|X| minus
+the coordinates already fixed inside X.  Every coordinate is an exact
 positive integer and no linear algebra or floating point is needed.
-Disconnected hypergraphs realize as the cartesian product of their
-blocks, coordinate blocks concatenated in carrier order.
+The incidence is checked one facet at a time: the sums over X of every
+vertex are taken column-wise, none may fall below 3**|X|, and exactly
+the constructions holding X may reach it.  Disconnected hypergraphs
+realize as the cartesian product of their blocks, coordinate blocks
+concatenated in carrier order.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .errors import (
 )
 from .constructions import (
     _construction_masks,
-    _forest,
     _peel,
     enumerate_constructs,
     is_asc,
@@ -70,21 +73,26 @@ class RealizedPolytope:
 def _coordinates(k: Iterable[int], n: int) -> tuple[int, ...]:
     """The vertex of the construction with member masks ``k``.
 
-    The root atom of each member X gets 3**|X| minus 3**|Y| summed over
-    the children Y of X, so the sum over every member telescopes to
-    3**|X|.
+    The members of a construction are pairwise nested or disjoint, so
+    visiting them by size fixes one new atom per member: the root of X,
+    the one atom of X that no smaller member fixed.  It gets 3**|X|
+    minus the coordinates already fixed inside X, which makes the sum
+    over X exactly 3**|X|.
     """
-    forest = _forest(k)
     out = [0] * n
-    for m, (parent, root) in forest.items():
-        out[root] += 3 ** m.bit_count()
-        if parent:
-            out[forest[parent][1]] -= 3 ** m.bit_count()
-    for m, (_, root) in forest.items():
+    fixed = 0
+    for m in sorted(k, key=int.bit_count):
+        root = m & ~fixed
+        if not root or root & (root - 1):
+            raise NestohedraError("internal error: non-unique root")
+        size = m.bit_count()
+        x = 3 ** size - sum(map(out.__getitem__, bits_of(m & fixed)))
         # the root coordinate always clears the next-lower level, so no
         # coordinate is below 3
-        if m.bit_count() >= 2 and out[root] <= 3 ** (m.bit_count() - 1):
+        if size >= 2 and x <= 3 ** (size - 1):
             raise NestohedraError("internal error: peeled coordinate too small")
+        out[root.bit_length() - 1] = x
+        fixed |= m
     return tuple(out)
 
 
@@ -104,10 +112,13 @@ def realize(h: Hypergraph) -> RealizedPolytope:
 
     Vertices are in bijection with the constructions, ordered by their
     members' canonical ranks; a vertex lies on the hyperplane of X
-    exactly when X belongs to its construction.  The facet table (mask,
-    atom indices, level) is built once, and the incidence is computed
-    arithmetically from it for every vertex and facet and checked
-    against that rule.
+    exactly when X belongs to its construction.  Coordinates come from
+    the one-pass solve, which needs the members of each construction to
+    be pairwise nested or disjoint.  The vertex sums over each facet's
+    support are then computed for all vertices at once from the
+    transposed coordinates, and the facets are checked in canonical
+    order: no sum is below the level, and the vertices on the
+    hyperplane are exactly the constructions holding the facet.
     """
     if not is_atomic(h):
         raise NotAtomicError("realization needs an atomic hypergraph")
@@ -123,28 +134,29 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     if len({coords for _, coords in vertices}) != len(vertices):
         raise NestohedraError("internal error: coordinate collision")
 
-    facets = [(m, tuple(bits_of(m)), 3 ** m.bit_count())
-              for m in canonical if m not in block_masks]
-    specs = tuple(HyperplaneSpec(h.atom_set(m), level) for m, _, level in facets)
-    incidence = []
-    for (_, coords), k in zip(vertices, cons):
-        row = []
-        for m, idx, level in facets:
-            total = sum(coords[i] for i in idx)
-            if total < level:
-                raise NestohedraError("internal error: vertex outside a halfspace")
-            on = total == level
-            if on != (m in k):
-                raise NestohedraError(
-                    "internal error: incidence disagrees with the construction")
-            row.append(on)
-        incidence.append(tuple(row))
+    facets = [m for m in canonical if m not in block_masks]
+    specs = tuple(HyperplaneSpec(h.atom_set(m), 3 ** m.bit_count()) for m in facets)
+    holders: dict[int, list[int]] = {m: [] for m in facets}
+    for i, k in enumerate(cons):
+        for m in k:
+            if m in holders:
+                holders[m].append(i)
+    cols = list(zip(*(coords for _, coords in vertices)))
+    for m, spec in zip(facets, specs):
+        totals = list(map(sum, zip(*map(cols.__getitem__, bits_of(m)))))
+        if min(totals) < spec.level:
+            raise NestohedraError("internal error: vertex outside a halfspace")
+        if (totals.count(spec.level) != len(holders[m])
+                or any(totals[i] != spec.level for i in holders[m])):
+            raise NestohedraError(
+                "internal error: incidence disagrees with the construction")
+    incidence = tuple(tuple(map(k.__contains__, facets)) for k in cons)
     return RealizedPolytope(
         dimension=n - len(comps),
         atoms=h.atoms,
         vertices=tuple(vertices),
         facet_specs=specs,
-        incidence=tuple(incidence),
+        incidence=incidence,
     )
 
 
@@ -304,12 +316,16 @@ def to_off(rp: RealizedPolytope) -> str:
 
 
 def to_json_dict(rp: RealizedPolytope) -> dict:
+    """JSON-ready form: members sort by cardinality then atoms, and each
+    distinct member's sort key is made once per call."""
+    keys = {m: set_sort_key(m) for m in {m for fam, _ in rp.vertices for m in fam}}
     return {
         "dimension": rp.dimension,
         "atoms": list(rp.atoms),
         "vertices": [
             {
-                "construction": [sorted(m) for m in sorted(fam, key=set_sort_key)],
+                "construction": [list(keys[m][1])
+                                 for m in sorted(fam, key=keys.__getitem__)],
                 "coords": list(coords),
             }
             for fam, coords in rp.vertices
@@ -318,5 +334,5 @@ def to_json_dict(rp: RealizedPolytope) -> dict:
             {"support": sorted(spec.support), "level": spec.level}
             for spec in rp.facet_specs
         ],
-        "incidence": [[bool(x) for x in row] for row in rp.incidence],
+        "incidence": [list(row) for row in rp.incidence],
     }

@@ -13,6 +13,8 @@ from nestohedra import (
     is_asc,
     saturated_closure,
 )
+from nestohedra.constructions import _forest
+from nestohedra.errors import NestohedraError
 from nestohedra.facelattice import _induced
 from nestohedra.hypergraph import (
     Hypergraph,
@@ -167,6 +169,26 @@ def reference_vertex_rows(h):
                   key=lambda k: sorted(mask_sort_key(m) for m in k))
     facets = [m for m in sorted(hbar.members, key=mask_sort_key) if m not in tops]
     return [(hbar.family(k), tuple(m in k for m in facets)) for k in cons]
+
+
+def oracle_coordinates(k, n):
+    """The vertex of the construction with member masks ``k``, read off
+    its forest: the root atom of each member X gets 3**|X| minus 3**|Y|
+    summed over the children Y of X, so the sum over every member
+    telescopes to 3**|X| (the library's route before the one-pass
+    solve)."""
+    forest = _forest(k)
+    out = [0] * n
+    for m, (parent, root) in forest.items():
+        out[root] += 3 ** m.bit_count()
+        if parent:
+            out[forest[parent][1]] -= 3 ** m.bit_count()
+    for m, (_, root) in forest.items():
+        # the root coordinate always clears the next-lower level, so no
+        # coordinate is below 3
+        if m.bit_count() >= 2 and out[root] <= 3 ** (m.bit_count() - 1):
+            raise NestohedraError("internal error: peeled coordinate too small")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

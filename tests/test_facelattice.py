@@ -14,6 +14,7 @@ from nestohedra import (
     enumerate_constructions,
     enumerate_constructs,
     f_vector,
+    face_label,
     facet_section,
     finest_partition,
     is_construction,
@@ -36,7 +37,7 @@ from nestohedra.errors import (
 )
 from nestohedra.facelattice import to_dot, to_json_dict
 
-from helpers import L, M, N, all_asc_hypergraphs, frozen, paper_a
+from helpers import L, M, N, all_asc_hypergraphs, frozen, graph, paper_a
 
 
 ALPHA = frozenset("xyzu")
@@ -440,6 +441,21 @@ class TestSection:
         p = abstract_polytope(abar())
         s = section(p, L, L)
         assert len(s.faces) == 1 and s.rank == -1
+
+    def test_face_order_is_rank_then_label(self):
+        # every facet section and every interval above a vertex of the
+        # path-6 associahedron, against sorting by (rank, face_label)
+        h = saturated_closure(graph("path", 6))
+        p = abstract_polytope(h)
+        top = p.top()
+        carrier = frozenset(h.atoms)
+        sections = [section(p, frozenset({y, carrier}), BOTTOM)
+                    for y in h.member_sets - {carrier}]
+        sections += [section(p, top, v) for v in p.faces_of_rank(0)]
+        for s in sections:
+            expect = sorted(zip(s.ranks, s.faces),
+                            key=lambda rf: (rf[0], face_label(rf[1])))
+            assert list(zip(s.ranks, s.faces)) == expect
 
     def test_not_comparable(self):
         p = abstract_polytope(abar())

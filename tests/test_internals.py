@@ -163,7 +163,7 @@ class TestInvariantsUnderOptimize:
     """Internal invariants raise ``NestohedraError``; an ``assert`` would
     vanish under ``python -O``."""
 
-    @pytest.mark.parametrize("fn", [_forest, _block_fault, _coordinates,
+    @pytest.mark.parametrize("fn", [_forest, _block_fault, _coordinates, realize,
                                     FacePoset._from_families, abstract_polytope,
                                     verify_axioms, tubings_equal_constructs])
     def test_no_assert_statements(self, fn):

@@ -22,6 +22,7 @@ from nestohedra import (
     vertex_coordinates,
 )
 from nestohedra import realization
+from nestohedra.constructions import _peel
 from nestohedra.errors import (
     DimensionMismatchError,
     NestohedraError,
@@ -38,6 +39,7 @@ from helpers import (
     frozen,
     graph,
     oracle_constructions,
+    oracle_coordinates,
     paper_a,
     random_atomic,
     reference_vertex_rows,
@@ -86,6 +88,37 @@ class TestVertexCoordinates:
         for h in all_asc_hypergraphs(4):
             seen = {vertex_coordinates(h, k) for k in enumerate_constructions(h)}
             assert len(seen) == len(enumerate_constructions(h))
+
+
+class TestCoordinatesMatchOracle:
+    """The one-pass solve against the forest-telescoping oracle on every
+    construction."""
+
+    @staticmethod
+    def assert_matches(h):
+        for k in _peel(h.members, False):
+            assert realization._coordinates(k, h.n_atoms) == \
+                oracle_coordinates(k, h.n_atoms), sorted(k)
+
+    def test_every_catalog_entry(self):
+        for e in catalog():
+            if is_atomic(e.hypergraph):
+                self.assert_matches(e.hypergraph)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_graph_nestohedra(self, kind, n):
+        self.assert_matches(graph(kind, n))
+
+    @pytest.mark.parametrize("seed", range(200, 208))
+    def test_random_atomic_hypergraphs(self, seed):
+        self.assert_matches(random_atomic(random.Random(seed), 5 + seed % 2))
+
+    def test_two_roots_in_one_member(self):
+        # {a} inside {a,b,c} leaves b and c both unfixed
+        for solve in (realization._coordinates, oracle_coordinates):
+            with pytest.raises(NestohedraError, match="non-unique root"):
+                solve([0b001, 0b111], 3)
 
 
 class TestRealize:
@@ -412,6 +445,17 @@ class TestExports:
         assert lines[1] == "2 0 1"
         pt = realize(Hypergraph.from_sets([{"x"}]))
         assert to_off(pt).splitlines()[1] == "1 0 0"
+
+    def test_incidence_entries_are_bool(self):
+        inputs = [e.hypergraph for e in catalog() if is_atomic(e.hypergraph)]
+        inputs += [graph(kind, n) for kind in ("path", "cycle", "star", "complete")
+                   for n in range(1, 7)]
+        for h in inputs:
+            rp = realize(h)
+            rows = to_json_dict(rp)["incidence"]
+            assert rows == [list(row) for row in rp.incidence]
+            assert all(type(x) is bool for row in rp.incidence for x in row)
+            assert all(type(x) is bool for row in rows for x in row)
 
     def test_json_exact_integers(self):
         import json
