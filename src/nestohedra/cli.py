@@ -15,15 +15,15 @@ import os
 import sys
 import time
 from functools import cache
-from itertools import combinations
 
 from . import facelattice as fl
 from . import realization as rz
 from .catalog import catalog_lookup, chart_edges, fvector_table
 from .axioms import verify_axioms, verify_inductive
 from .constructions import (
-    _block_fault,
+    _antichain_constructions,
     _ensure_atomic,
+    _f_vector_and_rank,
     _peel,
     _word,
     count_constructions,
@@ -73,7 +73,7 @@ def _load(source: str) -> tuple[str, Hypergraph]:
 
 def _cmd_info(args) -> int:
     name, h = _load(args.source)
-    p = fl.abstract_polytope(h) if is_atomic(h) else None
+    fr = _f_vector_and_rank(h) if is_atomic(h) else None
     print(f"name: {name}")
     print(f"carrier: {','.join(h.atoms) if h.atoms else '(empty)'}")
     print(f"members: {len(h.members)}")
@@ -82,9 +82,10 @@ def _cmd_info(args) -> int:
     print(f"connected: {'yes' if is_connected(h) else 'no'}")
     print(f"saturated: {'yes' if is_saturated(h) else 'no'}")
     print(f"components: {len(finest_partition(h))}")
-    if p is not None:
-        print(f"rank: {p.rank}")
-        print(f"f-vector: {','.join(map(str, fl.f_vector(p))) or '-'}")
+    if fr is not None:
+        fvec, rank = fr
+        print(f"rank: {rank}")
+        print(f"f-vector: {','.join(map(str, fvec)) or '-'}")
     return 0
 
 
@@ -149,9 +150,8 @@ def _cmd_verify(args) -> int:
                        built == hbar.member_sets))
         agree = True
         for block in finest_partition(hbar):
-            got = {block.family(m)
-                   for m in combinations(block.members, block.n_atoms)
-                   if _block_fault(block.members, block.carrier_mask, m) is None}
+            got = {block.family(k) for k in
+                   _antichain_constructions(block.members, block.carrier_mask)}
             agree = agree and enumerate_constructions(block) == got
         checks.append(("construction-oracle", agree))
     else:

@@ -1,18 +1,22 @@
 """Constructions and constructs of atomic hypergraphs.
 
-One peeling recursion (``_peel``) enumerates both: the empty family has
-the empty result; a connected family with carrier X puts X on top of
-each result for the members missing a peeled set S, one atom of X for
-constructions and any nonempty S for constructs; a disconnected one
-takes unions across its connected blocks.  S is what X's children leave
-uncovered, so every result arises once.
+The production route is one peeling recursion (``_peel``) that
+enumerates both: the empty family has the empty result; a connected
+family with carrier X puts X on top of each result for the members
+missing a peeled set S, one atom of X for constructions and any
+nonempty S for constructs; a disconnected one takes unions across its
+connected blocks.  S is what X's children leave uncovered, so every
+result arises once.  ``_fpoly`` follows the construct recursion with
+counts by size instead of sets, which gives f-vectors and ranks without
+a face poset.
 
 For atomic, saturated, connected (ASC) hypergraphs there is an
 equivalent antichain characterization: a subfamily M of H is inside some
 construction exactly when no antichain of M has its union in H, and it
 is a construction when additionally |M| equals the carrier size.  One
 block check (``_block_fault``) uses it for recognition.  Oracles: the
-deletion recurrence ``_count``, the antichain block check, and the power
+deletion recurrence ``_count`` for the counts, the pruned antichain
+search ``_antichain_constructions`` for the constructions, and the power
 set of each vertex's facets in ``face_lattice_isomorphic``.
 
 Three notations are carried: plain member families, forests (sets of
@@ -69,14 +73,16 @@ def _ensure_asc(h: Hypergraph) -> None:
 # antichain machinery
 # ---------------------------------------------------------------------------
 
-def antichains_all_miss(members: frozenset[int], fam: Sequence[int]) -> bool:
-    """No antichain of ``fam`` (>= 2 pairwise incomparable sets) has its
-    union in ``members``.
+def _clique_walk(members: frozenset[int], lst: Sequence[int]
+                 ) -> tuple[list[list[bool]], Callable[[list[int], int], bool]]:
+    """The incomparability matrix of the masks ``lst`` and a walk over its
+    cliques: ``grows_bad(cand, union)`` tells whether ``union`` joined
+    with some clique of the indices ``cand`` lands in ``members``, where
+    a lone set counts only when ``union`` is nonempty.
 
-    Walks the cliques of the incomparability graph, so families whose
-    pairs already clash are rejected without touching larger subsets.
+    The walk extends cliques one index at a time, so sets whose pairs
+    already clash are rejected without touching larger subsets.
     """
-    lst = list(fam)
     n = len(lst)
     incomp = [[False] * n for _ in range(n)]
     for i in range(n):
@@ -97,7 +103,15 @@ def antichains_all_miss(members: frozenset[int], fam: Sequence[int]) -> bool:
                 return True
         return False
 
-    return not grows_bad(list(range(n)), 0)
+    return incomp, grows_bad
+
+
+def antichains_all_miss(members: frozenset[int], fam: Sequence[int]) -> bool:
+    """No antichain of ``fam`` (>= 2 pairwise incomparable sets) has its
+    union in ``members``."""
+    lst = list(fam)
+    _, grows_bad = _clique_walk(members, lst)
+    return not grows_bad(list(range(len(lst))), 0)
 
 
 def superficial_elements(m: Iterable[Iterable[str]], x: Iterable[str]) -> frozenset[str]:
@@ -145,6 +159,31 @@ def _peel(members: frozenset[int], constructs: bool) -> frozenset[frozenset[int]
 
 
 @cache
+def _fpoly(members: frozenset[int]) -> tuple[int, ...]:
+    """Construct counts of the member family by member count (entry c
+    counts the constructs with c members), following
+    ``_peel(members, True)`` without building a construct."""
+    comps = family_components(members)
+    if len(comps) == 1:
+        carrier = family_union(members)
+        out = [0] * (carrier.bit_count() + 1)
+        s = carrier
+        while s:
+            for c, k in enumerate(_fpoly(frozenset(m for m in members if not m & s)), 1):
+                out[c] += k
+            s = (s - 1) & carrier
+        return tuple(out)
+    out = [1]
+    for comp in comps:
+        poly = _fpoly(comp)
+        prev, out = out, [0] * (len(out) + len(poly) - 1)
+        for i, a in enumerate(prev):
+            for j, b in enumerate(poly):
+                out[i + j] += a * b
+    return tuple(out)
+
+
+@cache
 def _count(members: frozenset[int]) -> int:
     comps = family_components(members)
     if len(comps) == 1:
@@ -172,6 +211,18 @@ def count_constructions(h: Hypergraph) -> int:
     """
     _ensure_atomic(h)
     return _count(h.members)
+
+
+def _f_vector_and_rank(h: Hypergraph) -> tuple[tuple[int, ...], int]:
+    """The f-vector and rank of ``abstract_polytope(h)`` for an atomic
+    hypergraph, read off the construct counts by size: a construct with
+    c members has rank |carrier| - c, so the fewest members give the
+    rank and f_k counts the constructs with |carrier| - k members."""
+    _ensure_atomic(h)
+    counts = _fpoly(h.members)
+    n = h.n_atoms
+    rank = n - next(c for c, k in enumerate(counts) if k)
+    return tuple(counts[n - k] for k in range(rank)), rank
 
 
 def enumerate_constructs(h: Hypergraph) -> frozenset[Family]:
@@ -233,6 +284,38 @@ def _block_fault(members: frozenset[int], carrier: int, fam: Sequence[int]) -> s
     if not antichains_all_miss(members, fam):
         return "an antichain union lands in the hypergraph"
     return None
+
+
+def _antichain_constructions(members: frozenset[int],
+                             carrier: int) -> frozenset[frozenset[int]]:
+    """Constructions of the saturated connected block ``members`` on
+    ``carrier`` by the antichain route: the exhaustive oracle for
+    ``_peel``, not the production path.
+
+    Grows subfamilies in member order and adds a member x only when no
+    antichain through x (x with chosen members, pairwise incomparable
+    and incomparable to x) has its union in the block.  An antichain of
+    a subfamily is one of every family containing it, so no
+    construction is cut; each family of carrier size reached is still
+    checked in full by ``_block_fault``.
+    """
+    lst = sorted(members)
+    size = carrier.bit_count()
+    incomp, grows_bad = _clique_walk(members, lst)
+    out = set()
+
+    def extend(chosen: list[int], start: int) -> None:
+        if len(chosen) == size:
+            fam = [lst[i] for i in chosen]
+            if _block_fault(members, carrier, fam) is None:
+                out.add(frozenset(fam))
+            return
+        for x in range(start, len(lst) - size + len(chosen) + 1):
+            if not grows_bad([i for i in chosen if incomp[x][i]], lst[x]):
+                extend(chosen + [x], x + 1)
+
+    extend([], 0)
+    return frozenset(out)
 
 
 def _construction_masks(h: Hypergraph, k: Iterable[Iterable[str]]) -> list[int]:

@@ -13,7 +13,7 @@ from nestohedra import (
     is_asc,
     saturated_closure,
 )
-from nestohedra.constructions import _forest
+from nestohedra.constructions import _block_fault, _forest
 from nestohedra.errors import NestohedraError
 from nestohedra.facelattice import _induced
 from nestohedra.hypergraph import (
@@ -155,6 +155,14 @@ def oracle_constructs(h):
             for sub in itertools.combinations(free, r):
                 acc.add(frozenset(sub) | tops)
     return frozenset(h.family(c) for c in acc)
+
+
+def oracle_block_constructions(members, carrier):
+    """Constructions of a saturated connected block by brute force: every
+    subfamily of carrier size that the block check accepts."""
+    return frozenset(frozenset(k) for k in itertools.combinations(sorted(members),
+                                                               carrier.bit_count())
+                     if _block_fault(members, carrier, k) is None)
 
 
 def reference_vertex_rows(h):

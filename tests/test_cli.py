@@ -1,13 +1,17 @@
+import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import nestohedra
-from nestohedra import cli
+from nestohedra import catalog, catalog_lookup, cli, constructions
+from nestohedra import facelattice as fl
 from nestohedra.cli import run
 
 from helpers import paper_a
@@ -83,10 +87,73 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "skipped" in err
 
+    def test_construction_oracle_catches_a_dropped_construction(self, capsys, monkeypatch):
+        monkeypatch.delenv("NESTOHEDRA_COLOR", raising=False)
+        # saturated and connected, so its own (only) block
+        block = catalog_lookup("H'_4321").hypergraph.members
+        peel = constructions._peel
+
+        def drop_one(members, constructs):
+            out = peel(members, constructs)
+            if members == block and not constructs:
+                return out - {min(out, key=sorted)}
+            return out
+
+        monkeypatch.setattr(constructions, "_peel", drop_one)
+        assert run(["verify", "H'_4321"]) == 1
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["H'_4321", "construction-oracle", "FAIL"] in lines
+
     def test_verify_axioms_json(self, capsys):
         assert run(["verify-axioms", "H_301"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] and doc["rank"] == 2
+
+
+class TestCountsWithoutPoset:
+    """``info`` and ``atlas`` read f-vectors and ranks off the construct
+    counts and build no face poset; the digests pin their output."""
+
+    INFO_SHA256 = "eae1733f7d53a48866f50ee47d0f6986c685702a3ac9ece2dfaafed727eab617"
+    ATLAS_SHA256 = "3edbd90917b56cd4f28e7107ddb75ce06dc73c07900a38be0d2ff6c28219a16f"
+
+    @pytest.fixture(autouse=True)
+    def no_poset(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a face poset was built")
+
+        for mod in (fl, cli, importlib.import_module("nestohedra.catalog")):
+            if hasattr(mod, "abstract_polytope"):
+                monkeypatch.setattr(mod, "abstract_polytope", refuse)
+        monkeypatch.setattr(fl.FacePoset, "__init__", refuse)
+
+    @staticmethod
+    def _out(capsys, argv):
+        assert run(argv) == 0
+        return capsys.readouterr().out
+
+    def test_info_on_the_catalog(self, capsys):
+        out = "".join(self._out(capsys, ["info", e.name]) for e in catalog())
+        assert hashlib.sha256(out.encode()).hexdigest() == self.INFO_SHA256
+
+    def test_atlas(self, capsys):
+        out = self._out(capsys, ["atlas"])
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ATLAS_SHA256
+
+    def test_info_on_a_nine_atom_path(self, capsys, tmp_path):
+        # K_9 has 103,050 faces: far beyond a face poset's rows
+        atoms = "abcdefghi"
+        path = tmp_path / "path9.hg"
+        path.write_text("\n".join([*atoms, *(f"{a},{b}" for a, b in zip(atoms, atoms[1:]))]))
+        out = self._out(capsys, ["info", str(path)])
+        n = 9
+        # Kirkman-Cayley: dissections of an (n+2)-gon by j diagonals are
+        # the faces of dimension n - 1 - j; j = n - 1 gives Catalan(9)
+        f = [comb(n - 1, j) * comb(n + j + 1, j) // (j + 1)
+             for j in range(n - 1, 0, -1)]
+        assert f[0] == 4862
+        assert "rank: 8\n" in out
+        assert f"f-vector: {','.join(map(str, f))}\n" in out
 
 
 class TestRealizeAndLattice:

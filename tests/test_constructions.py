@@ -10,6 +10,7 @@ from nestohedra import (
     count_constructions,
     enumerate_constructions,
     enumerate_constructs,
+    finest_partition,
     is_construct,
     is_atomic,
     is_construction,
@@ -17,7 +18,7 @@ from nestohedra import (
     superficial_elements,
     to_f_construction,
 )
-from nestohedra.constructions import _peel
+from nestohedra.constructions import _antichain_constructions, _f_vector_and_rank, _fpoly, _peel
 from nestohedra.errors import (
     NotAConstructionError,
     NotASCError,
@@ -33,6 +34,7 @@ from helpers import (
     all_atomic_hypergraphs,
     frozen,
     graph,
+    oracle_block_constructions,
     oracle_constructions,
     oracle_constructs,
     paper_a,
@@ -267,9 +269,13 @@ VERTICES = {
     "star": lambda n: sum(factorial(n - 1) // factorial(k) for k in range(n)),
     "complete": factorial,
 }
-LITTLE_SCHROEDER = (1, 3, 11, 45, 197, 903, 4279)  # path constructs, n = 1..7
-FUBINI = (1, 3, 13, 75, 541, 4683)  # complete-graph constructs, n = 1..6
+# path constructs, n = 1..10
+LITTLE_SCHROEDER = (1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859)
+FUBINI = (1, 3, 13, 75, 541, 4683, 47293, 545835)  # complete-graph constructs, n = 1..8
 FAMILIES = [(kind, n) for kind in VERTICES for n in range(1, 7)] + [("path", 7)]
+# sizes only the construct counts reach: K_10 has 518,859 constructs
+COUNT_FAMILIES = [(kind, n) for kind in VERTICES
+                  for n in range(2, 9 if kind == "complete" else 11)]
 # members of the saturated closure of the graph (its tubes), at sizes the
 # subset walk could not reach
 CLOSURE_SIZES = {
@@ -325,6 +331,23 @@ class TestClosedForms:
         assert h == h[::-1]
         assert sum(h) == VERTICES[kind](n)
 
+    @pytest.mark.parametrize("kind,n", COUNT_FAMILIES)
+    def test_vertex_count_from_construct_counts(self, kind, n):
+        f, rank = _f_vector_and_rank(graph(kind, n))
+        assert rank == n - 1
+        assert f[0] == VERTICES[kind](n)
+        assert sum((-1) ** k * fk for k, fk in enumerate(f)) == 1 - (-1) ** rank
+        h = _h_vector(f + (1,))
+        assert h == h[::-1]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_path_construct_total_from_construct_counts(self, n):
+        assert sum(_fpoly(graph("path", n).members)) == LITTLE_SCHROEDER[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_complete_construct_total_from_construct_counts(self, n):
+        assert sum(_fpoly(graph("complete", n).members)) == FUBINI[n - 1]
+
     def test_associahedron_h_vector_is_narayana(self):
         assert _h_vector(_f_vector(graph("path", 7))) == [1, 21, 105, 175, 105, 21, 1]
 
@@ -333,3 +356,27 @@ class TestClosedForms:
     def test_closure_size(self, kind, n):
         size, _ = CLOSURE_SIZES[kind]
         assert len(saturated_closure(graph(kind, n)).members) == size(n)
+
+
+class TestAntichainOracle:
+    """The pruned antichain search that ``verify`` holds the peel against,
+    itself held against the brute force over every subfamily of carrier
+    size (``tests/helpers.py``)."""
+
+    @staticmethod
+    def _agree(block):
+        got = _antichain_constructions(block.members, block.carrier_mask)
+        assert got == oracle_block_constructions(block.members, block.carrier_mask), block
+        assert frozenset(block.family(k) for k in got) == enumerate_constructions(block)
+
+    def test_asc_up_to_four_atoms(self):
+        for k in range(5):
+            for h in all_asc_hypergraphs(k):
+                self._agree(h)
+
+    def test_random_blocks_on_five_and_six_atoms(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            h = random_atomic(rng, rng.choice((5, 6)))
+            for block in finest_partition(saturated_closure(h)):
+                self._agree(block)

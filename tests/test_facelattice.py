@@ -35,9 +35,10 @@ from nestohedra.errors import (
     NotComparableError,
     NotFacetError,
 )
+from nestohedra.constructions import _f_vector_and_rank
 from nestohedra.facelattice import to_dot, to_json_dict
 
-from helpers import L, M, N, all_asc_hypergraphs, frozen, graph, paper_a
+from helpers import L, M, N, all_asc_hypergraphs, frozen, graph, paper_a, random_atomic
 
 
 ALPHA = frozenset("xyzu")
@@ -75,10 +76,14 @@ class TestAbstractPolytope:
             assert p.top() == frozenset(tops)
 
     def test_rank_formula(self):
+        # also holds the construct-count route of info and atlas against
+        # the poset, from the same build
         import helpers
-        for h in helpers.all_atomic_hypergraphs(4):
-            p = abstract_polytope(h)
-            assert p.rank == h.n_atoms - len(finest_partition(h))
+        for k in range(5):
+            for h in helpers.all_atomic_hypergraphs(k):
+                p = abstract_polytope(h)
+                assert p.rank == h.n_atoms - len(finest_partition(h))
+                assert _f_vector_and_rank(h) == (f_vector(p), p.rank), h
 
     def test_vertex_incident_with_rank_many_facets(self):
         from nestohedra import catalog
@@ -118,6 +123,16 @@ class TestFVector:
     def test_permutohedron(self):
         p = abstract_polytope(catalog_lookup("H_4641").hypergraph)
         assert f_vector(p) == (24, 36, 14)
+
+    def test_construct_counts_give_the_poset_f_vector(self):
+        # the atomic hypergraphs on <= 4 atoms are in test_rank_formula
+        hs = [graph(kind, n) for kind in ("path", "cycle", "star", "complete")
+              for n in range(1, 7)]
+        rng = random.Random(12)
+        hs += [random_atomic(rng, rng.choice((5, 6))) for _ in range(12)]
+        for h in hs:
+            p = abstract_polytope(h)
+            assert _f_vector_and_rank(h) == (f_vector(p), p.rank), h
 
 
 class TestMeetJoin:
@@ -389,13 +404,16 @@ class TestFacetSection:
         assert p.rank == 0 and len(p.faces) == 2
 
     def test_isomorphic_to_product(self):
+        # one build per hypergraph; test_agrees_with_generic_section pins
+        # facet_section to this section
         for h in all_asc_hypergraphs(4):
             carrier = frozenset(h.atoms)
+            p = abstract_polytope(h)
             for y in h.member_sets - {carrier}:
                 rest = carrier - y
                 prod = otimes(abstract_polytope(restriction(h, y)),
                               abstract_polytope(quotient(h, rest)))
-                assert poset_isomorphic(facet_section(h, y), prod)
+                assert poset_isomorphic(section(p, frozenset({y, carrier}), BOTTOM), prod)
 
     def test_not_facet(self):
         with pytest.raises(NotFacetError):
@@ -417,7 +435,7 @@ class TestFacetSection:
             p = abstract_polytope(h)
             union = {BOTTOM, frozenset({carrier})}
             for y in h.member_sets - {carrier}:
-                union |= set(facet_section(h, y).faces)
+                union |= set(section(p, frozenset({y, carrier}), BOTTOM).faces)
             assert union == set(p.faces)
 
 

@@ -29,7 +29,13 @@ from nestohedra import (
     verify_axioms,
     verify_inductive,
 )
-from nestohedra.constructions import _block_fault, _forest, antichains_all_miss
+from nestohedra.constructions import (
+    _antichain_constructions,
+    _block_fault,
+    _forest,
+    _fpoly,
+    antichains_all_miss,
+)
 from nestohedra.realization import _coordinates
 from nestohedra.hypergraph import family_components
 
@@ -163,7 +169,8 @@ class TestInvariantsUnderOptimize:
     """Internal invariants raise ``NestohedraError``; an ``assert`` would
     vanish under ``python -O``."""
 
-    @pytest.mark.parametrize("fn", [_forest, _block_fault, _coordinates, realize,
+    @pytest.mark.parametrize("fn", [_forest, _block_fault, _fpoly, _antichain_constructions,
+                                    _coordinates, realize,
                                     FacePoset._from_families, abstract_polytope,
                                     verify_axioms, tubings_equal_constructs])
     def test_no_assert_statements(self, fn):
@@ -184,7 +191,8 @@ class TestInvariantsUnderOptimize:
                             realize(catalog_lookup(name).hypergraph).vertices]
 
     @pytest.mark.parametrize("argv", [["lattice", "H'_4321", "--format", "json"],
-                                      ["verify", "H'_4321"]])
+                                      ["verify", "H'_4321"], ["info", "H'_4321"],
+                                      ["atlas"]])
     def test_cli_under_optimize(self, argv):
         env = dict(os.environ, PYTHONPATH=str(Path(nestohedra.__file__).parents[1]))
         runs = [subprocess.run([sys.executable, *flags, "-m", "nestohedra.cli", *argv],
