@@ -21,7 +21,8 @@ set of each vertex's facets in ``face_lattice_isomorphic``.
 
 Three notations are carried: plain member families, forests (sets of
 trees, each a root atom plus child trees), and prefix words with a
-commutative ``+``.
+commutative ``+``.  Forests and words are read in one sweep over the
+members by size; the parent map ``_forest`` is the tests' oracle forest.
 """
 
 from __future__ import annotations
@@ -238,15 +239,17 @@ def enumerate_constructs(h: Hypergraph) -> frozenset[Family]:
 # recognition (antichain route)
 # ---------------------------------------------------------------------------
 
-def _masks_in(h: Hypergraph, m: Iterable[Iterable[str]]) -> list[int] | None:
-    """Member masks of ``m``, or None when some set is not a member of h."""
+def _masks_in(h: Hypergraph, m: Iterable[Iterable[str]],
+              members: frozenset[int]) -> list[int] | None:
+    """Masks of the sets of ``m`` over h's carrier, or None when some set
+    names an atom outside the carrier or is not in ``members``."""
     out = []
     for s in m:
         try:
             mask = h.mask(s)
         except UnknownAtomError:
             return None
-        if mask not in h.members:
+        if mask not in members:
             return None
         out.append(mask)
     return out
@@ -256,7 +259,7 @@ def is_construction(h: Hypergraph, m: Iterable[Iterable[str]]) -> bool:
     """Antichain characterization of a construction of an ASC hypergraph:
     m is a subfamily of h of carrier size whose antichains all miss h."""
     _ensure_asc(h)
-    masks = _masks_in(h, m)
+    masks = _masks_in(h, m, h.members)
     if masks is None or len(set(masks)) != len(masks):
         return False
     return _block_fault(h.members, h.carrier_mask, masks) is None
@@ -266,7 +269,7 @@ def is_construct(h: Hypergraph, m: Iterable[Iterable[str]]) -> bool:
     """Antichain characterization of a construct of an ASC hypergraph:
     a subfamily containing the carrier whose antichains all miss h."""
     _ensure_asc(h)
-    masks = _masks_in(h, m)
+    masks = _masks_in(h, m, h.members)
     if masks is None:
         return False
     if h.carrier_mask not in masks and h.n_atoms > 0:
@@ -351,41 +354,24 @@ def _construction_masks(h: Hypergraph, k: Iterable[Iterable[str]]) -> list[int]:
 # forest notation
 # ---------------------------------------------------------------------------
 
-def _forest(k: Iterable[int]) -> dict[int, tuple[int, int]]:
-    """Parent and root atom of each member mask of a construction.
-
-    The parent of X is the smallest member strictly containing X, or 0
-    when X is a top; X's children are the members whose parent is X.
-    The root is the index of the one atom of X in none of its children.
-    """
-    ms = sorted(k, key=int.bit_count)
-    inner = dict.fromkeys(ms, 0)  # union of the children, smallest first
-    out = {}
-    for i, m in enumerate(ms):
-        root = m & ~inner[m]
-        if not root or root & (root - 1):
-            raise NestohedraError("internal error: non-unique root")
-        parent = next((o for o in ms[i + 1:] if m & ~o == 0), 0)
-        if parent:
-            inner[parent] |= m
-        out[m] = (parent, root.bit_length() - 1)
-    return out
-
-
 def _read_forest(h: Hypergraph, masks: Iterable[int],
                  node: Callable[[str, list], object], top: Callable[[list], object]):
     """Read the construction with the already-checked member ``masks`` off
     its forest bottom up, with ``node(root atom, child results)`` per
-    member and ``top`` on the trees."""
-    forest = _forest(masks)
-    children: dict[int, list[int]] = {}
-    for m, (parent, _) in forest.items():
-        children.setdefault(parent, []).append(m)
-
-    def read(m: int):
-        return node(h.atoms[forest[m][1]], [read(c) for c in children.get(m, ())])
-
-    return top([read(t) for t in children.get(0, ())])
+    member and ``top`` on the trees.  Members nest or are disjoint, so
+    visited by size (as in ``realization._coordinates``) a member's
+    children are the trees read so far inside it, and its root is the
+    one atom no smaller member fixed."""
+    fixed = 0
+    trees: dict[int, object] = {}  # each tree read so far: top mask -> result
+    for m in sorted(masks, key=int.bit_count):
+        root = m & ~fixed
+        if not root or root & (root - 1):
+            raise NestohedraError("internal error: non-unique root")
+        inside = [t for t in trees if t & ~m == 0]
+        trees[m] = node(h.atoms[root.bit_length() - 1], [trees.pop(t) for t in inside])
+        fixed |= m
+    return top(list(trees.values()))
 
 
 def to_f_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> FConstruction:

@@ -27,11 +27,10 @@ from .errors import (
     NestohedraError,
     NotComparableError,
     NotFacetError,
-    UnknownAtomError,
 )
 from .hypergraph import (AtomSet, Family, Hypergraph, bits_of, members_within,
                          set_sort_key)
-from .constructions import _block_fault, _ensure_asc, enumerate_constructs
+from .constructions import _block_fault, _ensure_asc, _masks_in, enumerate_constructs
 
 
 class _Bottom:
@@ -363,27 +362,22 @@ def continuation(h: Hypergraph, y: Iterable[str],
     is a member of ``h`` and X itself otherwise.
     """
     _ensure_asc(h)
-
-    def mask(s: Iterable[str]) -> int:
-        try:
-            return h.mask(s)
-        except UnknownAtomError:
-            return -1  # in no family of masks
-
     ys = frozenset(y)
-    ymask = mask(ys)
-    if ymask not in h.members:
+    found = _masks_in(h, [ys], h.members)
+    if found is None:
         raise BadFactorError(f"{sorted(ys)} is not a member of the hypergraph")
+    ymask, = found
     kf = frozenset(frozenset(s) for s in k)
     jf = frozenset(frozenset(s) for s in j)
-    kmasks = [mask(s) for s in kf]
-    if _block_fault(frozenset(members_within(h.members, ymask)), ymask, kmasks):
+    inside = frozenset(members_within(h.members, ymask))
+    kmasks = _masks_in(h, kf, inside)
+    if kmasks is None or _block_fault(inside, ymask, kmasks):
         raise BadFactorError("first factor is not a construction of the restriction")
     # when y is the carrier the trace is empty, with the empty construction
     rest = h.carrier_mask & ~ymask
-    jmasks = [mask(s) for s in jf]
     traces = frozenset(m & rest for m in h.members if m & rest)
-    if _block_fault(traces, rest, jmasks):
+    jmasks = _masks_in(h, jf, traces)
+    if jmasks is None or _block_fault(traces, rest, jmasks):
         raise BadFactorError("second factor is not a construction of the trace" if rest
                              else "second factor must be empty when y is the carrier")
     out = set(kmasks)
@@ -508,10 +502,8 @@ def to_dot(p: FacePoset) -> str:
 
 def to_json_dict(p: FacePoset) -> dict:
     faces = []
-    for i, (f, (label, members)) in enumerate(zip(p.faces, _labelled(p.faces))):
+    for i, (label, members) in enumerate(_labelled(p.faces)):
         if members is not None:
             members = [list(m) for m in members]
-        elif f is not BOTTOM:  # a hand-built payload, read as a family
-            members = [sorted(m) for m in sorted(f, key=set_sort_key)]
         faces.append({"id": i, "rank": p.ranks[i], "label": label, "members": members})
     return {"faces": faces, "covers": [list(c) for c in p.covers()]}

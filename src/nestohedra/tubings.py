@@ -136,7 +136,7 @@ def is_tubing(g: GraphHypergraph, t: Iterable[Iterable[str]]) -> bool:
     """Pairwise non-overlapping and non-adjacent members of the graph,
     containing the full vertex set, avoiding the whole loose partition."""
     h = g.underlying
-    found = _masks_in(h, t)
+    found = _masks_in(h, t, h.members)
     if found is None:
         raise NotTubesError("a tubing may only use members of the graph")
     return _is_tubing(h, sorted(set(found)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import string
+from typing import Callable, Iterable
 
 from nestohedra import (
     BOTTOM,
@@ -13,7 +14,7 @@ from nestohedra import (
     is_asc,
     saturated_closure,
 )
-from nestohedra.constructions import _block_fault, _forest
+from nestohedra.constructions import _block_fault
 from nestohedra.errors import NestohedraError
 from nestohedra.facelattice import _induced
 from nestohedra.hypergraph import (
@@ -177,6 +178,44 @@ def reference_vertex_rows(h):
                   key=lambda k: sorted(mask_sort_key(m) for m in k))
     facets = [m for m in sorted(hbar.members, key=mask_sort_key) if m not in tops]
     return [(hbar.family(k), tuple(m in k for m in facets)) for k in cons]
+
+
+def _forest(k: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """Parent and root atom of each member mask of a construction.
+
+    The parent of X is the smallest member strictly containing X, or 0
+    when X is a top; X's children are the members whose parent is X.
+    The root is the index of the one atom of X in none of its children.
+    """
+    ms = sorted(k, key=int.bit_count)
+    inner = dict.fromkeys(ms, 0)  # union of the children, smallest first
+    out = {}
+    for i, m in enumerate(ms):
+        root = m & ~inner[m]
+        if not root or root & (root - 1):
+            raise NestohedraError("internal error: non-unique root")
+        parent = next((o for o in ms[i + 1:] if m & ~o == 0), 0)
+        if parent:
+            inner[parent] |= m
+        out[m] = (parent, root.bit_length() - 1)
+    return out
+
+
+def oracle_read_forest(h: Hypergraph, masks: Iterable[int],
+                       node: Callable[[str, list], object], top: Callable[[list], object]):
+    """Read the construction with the already-checked member ``masks`` off
+    its forest bottom up, with ``node(root atom, child results)`` per
+    member and ``top`` on the trees (the library's route before the
+    by-size sweep: a parent map, then recursion from the tops)."""
+    forest = _forest(masks)
+    children: dict[int, list[int]] = {}
+    for m, (parent, _) in forest.items():
+        children.setdefault(parent, []).append(m)
+
+    def read(m: int):
+        return node(h.atoms[forest[m][1]], [read(c) for c in children.get(m, ())])
+
+    return top([read(t) for t in children.get(0, ())])
 
 
 def oracle_coordinates(k, n):

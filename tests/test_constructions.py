@@ -6,6 +6,7 @@ import pytest
 
 from nestohedra import (
     Hypergraph,
+    as_graph,
     catalog,
     count_constructions,
     enumerate_constructions,
@@ -14,16 +15,30 @@ from nestohedra import (
     is_construct,
     is_atomic,
     is_construction,
+    is_tubing,
     saturated_closure,
     superficial_elements,
     to_f_construction,
+    to_s_construction,
 )
-from nestohedra.constructions import _antichain_constructions, _f_vector_and_rank, _fpoly, _peel
+from nestohedra.constructions import (
+    EMPTY,
+    Prefix,
+    _antichain_constructions,
+    _f_vector_and_rank,
+    _fpoly,
+    _peel,
+    _read_forest,
+    _word,
+    make_sum,
+)
 from nestohedra.errors import (
+    NestohedraError,
     NotAConstructionError,
     NotASCError,
     NotAtomicError,
     NotMemberError,
+    NotTubesError,
 )
 
 from helpers import (
@@ -37,6 +52,7 @@ from helpers import (
     oracle_block_constructions,
     oracle_constructions,
     oracle_constructs,
+    oracle_read_forest,
     paper_a,
     random_atomic,
 )
@@ -109,6 +125,46 @@ class TestIsConstruction:
 
     def test_non_member_rejected(self):
         assert not is_construction(abar(), frozen("u", "xu", "yzu", "xyzu"))
+
+
+# caller families with an unknown atom, a non-member and a repeated set,
+# and a construction for contrast
+_FAMILIES = {
+    "unknown atom": frozen("u", "zq", "yzu", "xyzu"),
+    "non-member": frozen("u", "xu", "yzu", "xyzu"),
+    "repeated set": [["u"], ["u"], ["z", "u"], ["y", "z", "u"], ["x", "y", "z", "u"]],
+    "construction": L,
+}
+_NOT_TUBES = (NotTubesError, "a tubing may only use members of the graph")
+
+
+class TestCallerFamilies:
+    """Verdicts and errors of the three predicates that read a caller's
+    atom-name family into member masks."""
+
+    @pytest.mark.parametrize("pred, family, want", [
+        (is_construction, "unknown atom", False),
+        (is_construction, "non-member", False),
+        (is_construction, "repeated set", False),
+        (is_construction, "construction", True),
+        (is_construct, "unknown atom", False),
+        (is_construct, "non-member", False),
+        (is_construct, "repeated set", True),
+        (is_construct, "construction", True),
+        (is_tubing, "unknown atom", _NOT_TUBES),
+        (is_tubing, "non-member", _NOT_TUBES),
+        (is_tubing, "repeated set", True),
+        (is_tubing, "construction", True),
+    ])
+    def test_verdict(self, pred, family, want):
+        h = as_graph([("x", "y"), ("y", "z"), ("z", "u")], "xyzu") \
+            if pred is is_tubing else abar()
+        if isinstance(want, bool):
+            assert pred(h, _FAMILIES[family]) is want
+        else:
+            with pytest.raises(want[0]) as got:
+                pred(h, _FAMILIES[family])
+            assert type(got.value) is want[0] and str(got.value) == want[1]
 
 
 class TestConstructs:
@@ -201,6 +257,58 @@ class TestFConstruction:
             to_f_construction(paper_a(), frozen("x", "y", "z", "u"))
         with pytest.raises(NotAConstructionError):
             to_f_construction(paper_a(), frozen("x", "y", "qq", "xyzu"))
+
+
+def _forest_inputs():
+    """Every atomic hypergraph on up to four atoms, the atomic catalog
+    entries, the path, cycle, star and complete graphs on up to six
+    vertices, and seeded random atomic inputs on five and six atoms."""
+    for k in range(5):
+        yield from all_atomic_hypergraphs(k)
+    yield from (e.hypergraph for e in catalog() if is_atomic(e.hypergraph))
+    for kind in ("path", "cycle", "star", "complete"):
+        for n in range(1, 7):
+            yield graph(kind, n)
+    rng = random.Random(13)
+    for _ in range(12):
+        yield random_atomic(rng, rng.choice((5, 6)))
+
+
+def _tree(atom, trees):
+    return frozenset({atom, *trees})
+
+
+def _sum_or_empty(terms):
+    return make_sum(terms) if terms else EMPTY
+
+
+def _prefix(atom, terms):
+    return Prefix(atom, _sum_or_empty(terms))
+
+
+class TestForestOracle:
+    """The by-size sweep that reads forests and words, held against the
+    parent-map recursion it replaced (``helpers.oracle_read_forest``)."""
+
+    def test_forests_and_words_match_parent_map_route(self):
+        read = 0
+        for h in _forest_inputs():
+            for k in _peel(h.members, False):
+                fam = h.family(k)
+                forest = oracle_read_forest(h, k, _tree, frozenset)
+                word = oracle_read_forest(h, k, _prefix, _sum_or_empty)
+                assert to_f_construction(h, fam) == forest, (h, fam)
+                assert to_s_construction(h, fam) == word, (h, fam)
+                assert str(_word(h, k)) == str(word), (h, fam)
+                read += 1
+        assert read == 35161
+
+    def test_two_roots_in_one_member(self):
+        # {a} inside {a,b,c} leaves b and c both unfixed
+        h = graph("path", 3)
+        for read in (_read_forest, oracle_read_forest):
+            with pytest.raises(NestohedraError, match="non-unique root"):
+                read(h, [0b001, 0b111], lambda atom, trees: atom, list)
 
 
 class TestOracleEquivalence:

@@ -263,11 +263,44 @@ class TestContinuation:
                            frozen("u", "zu"), frozen("y", "xy"))
         assert got == L
 
+    def test_repeated_sets_count_once(self):
+        got = continuation(abar(), ["z", "u", "z"], [["u"], ["u"], ["z", "u"]],
+                           [["x"], ["x", "y"], ["y", "x"]])
+        assert got == N
+
     def test_bad_factor(self):
         with pytest.raises(BadFactorError):
             continuation(abar(), frozenset("zu"), frozen("u", "zu"), frozen("x"))
         with pytest.raises(BadFactorError):
             continuation(abar(), frozenset("xu"), frozen("u", "zu"), frozen("x", "xy"))
+
+    # (y, k, j, message) for each way a caller's input can be rejected;
+    # the last two rows, with two bad inputs, show the order of the checks
+    _FIRST = "first factor is not a construction of the restriction"
+    _TRACE = "second factor is not a construction of the trace"
+    _NOT_MEMBER = "{} is not a member of the hypergraph"
+    REJECTIONS = [
+        ("zq", frozen("u", "zu"), frozen("x", "xy"), _NOT_MEMBER.format("['q', 'z']")),
+        ("xu", frozen("u", "zu"), frozen("x", "xy"), _NOT_MEMBER.format("['u', 'x']")),
+        ("", frozen("u", "zu"), frozen("x", "xy"), _NOT_MEMBER.format("[]")),
+        ("zu", frozen("u", "zq"), frozen("x", "xy"), _FIRST),  # unknown atom
+        ("yzu", frozen("y", "yu", "yzu"), frozen("x"), _FIRST),  # not a member
+        ("zu", frozen("u", "xy"), frozen("x", "xy"), _FIRST),  # a member outside y
+        ("zu", frozen("zu"), frozen("x", "xy"), _FIRST),  # wrong size
+        ("zu", frozen("u", "zu"), frozen("x", "xq"), _TRACE),  # unknown atom
+        ("u", frozen("u"), frozen("x", "xz", "xyz"), _TRACE),  # not in the trace
+        ("zu", frozen("u", "zu"), frozen("x"), _TRACE),  # wrong size
+        ("xyzu", L, frozen("x"), "second factor must be empty when y is the carrier"),
+        ("xq", frozen("q"), frozen("q"), _NOT_MEMBER.format("['q', 'x']")),
+        ("zu", frozen("zq"), frozen("xq"), _FIRST),
+    ]
+
+    @pytest.mark.parametrize("y, k, j, message", REJECTIONS)
+    def test_rejection_messages(self, y, k, j, message):
+        with pytest.raises(BadFactorError) as got:
+            continuation(abar(), frozenset(y), k, j)
+        assert type(got.value) is BadFactorError
+        assert str(got.value) == message
 
     @staticmethod
     def _oracle(hsets, y, r, q, k, j):

@@ -32,8 +32,8 @@ from nestohedra import (
 from nestohedra.constructions import (
     _antichain_constructions,
     _block_fault,
-    _forest,
     _fpoly,
+    _read_forest,
     antichains_all_miss,
 )
 from nestohedra.realization import _coordinates
@@ -169,8 +169,8 @@ class TestInvariantsUnderOptimize:
     """Internal invariants raise ``NestohedraError``; an ``assert`` would
     vanish under ``python -O``."""
 
-    @pytest.mark.parametrize("fn", [_forest, _block_fault, _fpoly, _antichain_constructions,
-                                    _coordinates, realize,
+    @pytest.mark.parametrize("fn", [_read_forest, _block_fault, _fpoly,
+                                    _antichain_constructions, _coordinates, realize,
                                     FacePoset._from_families, abstract_polytope,
                                     verify_axioms, tubings_equal_constructs])
     def test_no_assert_statements(self, fn):
@@ -201,3 +201,22 @@ class TestInvariantsUnderOptimize:
         assert [r.returncode for r in runs] == [0, 0]
         assert runs[1].stdout == runs[0].stdout
         assert runs[0].stdout
+
+
+_MODULES = sorted(p for p in Path(nestohedra.__file__).parent.glob("*.py")
+                  if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """Every name a library module imports is read somewhere in it
+    (``__init__`` re-exports, so it is left out)."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -27,7 +27,7 @@ from nestohedra import (
     verify_axioms,
     verify_inductive,
 )
-from nestohedra.facelattice import _induced, _labelled, to_json_dict
+from nestohedra.facelattice import _induced, _labelled, to_dot, to_json_dict
 from nestohedra.hypergraph import set_sort_key
 
 from helpers import (all_asc_hypergraphs, all_atomic_hypergraphs, diamond_poset,
@@ -207,9 +207,18 @@ class TestLabels:
         assert face_label(frozenset({ten, two, ten | two})) == "{{10},{2},{10,2}}"
 
     def test_json_members_of_hand_built_payloads(self):
-        p = diamond_poset()
-        got = [face["members"] for face in to_json_dict(p)["faces"]]
-        assert got == [[sorted(m) for m in sorted(f, key=set_sort_key)] for f in p.faces]
+        # members are what the labels report: null for payloads that are
+        # not families, so "bot" is not read as a family of letters and a
+        # tuple exports as it does to DOT
+        tupled = FacePoset.from_covers(
+            [("bot", -1), (("a", 1), 0), ("b", 0), ("top", 1)],
+            [("bot", ("a", 1)), ("bot", "b"), (("a", 1), "top"), ("b", "top")])
+        for p, labels in ((diamond_poset(), ["bot", "a", "b", "top"]),
+                          (tupled, ["bot", "('a', 1)", "b", "top"])):
+            faces = to_json_dict(p)["faces"]
+            assert [face["label"] for face in faces] == labels
+            assert [face["members"] for face in faces] == [None] * 4
+            assert all(f'label="{label}"' in to_dot(p) for label in labels)
 
 
 # ---------------------------------------------------------------------------
