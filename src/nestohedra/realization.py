@@ -3,11 +3,13 @@
 Every member X of the (saturated closure of the) hypergraph carves the
 halfspace sum(x_i for i in X) >= 3**|X|; the polytope lives inside the
 hyperplane where the full-carrier sum holds with equality.  A vertex is
-read off its construction in one pass.  The members of a construction
+read off its construction in one sweep.  The members of a construction
 are pairwise nested or disjoint, so visiting them by size fixes one new
-atom per member, its root (superficial) atom, which gets 3**|X| minus
-the coordinates already fixed inside X.  Every coordinate is an exact
-positive integer and no linear algebra or floating point is needed.
+atom per member, its root (superficial) atom.  The children of X are the
+trees read so far inside it, each already summing to its own level, so
+the root gets 3**|X| minus the children's levels and X replaces them.
+Every coordinate is an exact positive integer and no linear algebra or
+floating point is needed.
 The incidence is checked one facet at a time: the sums over X of every
 vertex are taken column-wise, none may fall below 3**|X|, and exactly
 the constructions holding X may reach it.  Disconnected hypergraphs
@@ -71,27 +73,39 @@ class RealizedPolytope:
 
 
 def _coordinates(k: Iterable[int], n: int) -> tuple[int, ...]:
-    """The vertex of the construction with member masks ``k``.
+    """The vertex of the construction with member masks ``k``, in any order.
 
     The members of a construction are pairwise nested or disjoint, so
     visiting them by size fixes one new atom per member: the root of X,
-    the one atom of X that no smaller member fixed.  It gets 3**|X|
-    minus the coordinates already fixed inside X, which makes the sum
-    over X exactly 3**|X|.
+    the one atom of X that no smaller member fixed.  The children of X
+    are the trees read so far that lie inside it (as in
+    ``constructions._read_forest``); each already sums to its own level,
+    so the root gets 3**|X| minus the children's levels, which makes the
+    sum over X exactly 3**|X|, and X replaces its children.
     """
     out = [0] * n
     fixed = 0
+    trees: list[tuple[int, int]] = []  # (top mask, level) of each tree read so far
     for m in sorted(k, key=int.bit_count):
         root = m & ~fixed
         if not root or root & (root - 1):
             raise NestohedraError("internal error: non-unique root")
-        size = m.bit_count()
-        x = 3 ** size - sum(map(out.__getitem__, bits_of(m & fixed)))
-        # the root coordinate always clears the next-lower level, so no
-        # coordinate is below 3
-        if size >= 2 and x <= 3 ** (size - 1):
-            raise NestohedraError("internal error: peeled coordinate too small")
+        level = 3 ** m.bit_count()
+        x = level
+        if m & fixed:  # else m is its root alone: no children, x == 3
+            rest = []
+            for tree in trees:
+                if tree[0] & ~m:
+                    rest.append(tree)
+                else:  # a child of m
+                    x -= tree[1]
+            trees = rest
+            # the root coordinate always clears the next-lower level, so
+            # no coordinate is below 3
+            if x <= level // 3:
+                raise NestohedraError("internal error: peeled coordinate too small")
         out[root.bit_length() - 1] = x
+        trees.append((m, level))
         fixed |= m
     return tuple(out)
 
@@ -113,8 +127,8 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     Vertices are in bijection with the constructions, ordered by their
     members' canonical ranks; a vertex lies on the hyperplane of X
     exactly when X belongs to its construction.  Coordinates come from
-    the one-pass solve, which needs the members of each construction to
-    be pairwise nested or disjoint.  The vertex sums over each facet's
+    the child-level sweep, which needs the members of each construction
+    to be pairwise nested or disjoint.  The vertex sums over each facet's
     support are then computed for all vertices at once from the
     transposed coordinates, and the facets are checked in canonical
     order: no sum is below the level, and the vertices on the
@@ -129,7 +143,7 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     canonical = hbar.canonical_masks()
     rank = {m: i for i, m in enumerate(canonical)}
     # h peels like its closure: both have the same connected subsets
-    cons = sorted(_peel(h.members, False), key=lambda k: sorted(rank[m] for m in k))
+    cons = sorted(_peel(h.members, False), key=lambda k: sorted(map(rank.__getitem__, k)))
     vertices = [(h.family(k), _coordinates(k, n)) for k in cons]
     if len({coords for _, coords in vertices}) != len(vertices):
         raise NestohedraError("internal error: coordinate collision")
@@ -201,11 +215,13 @@ def face_lattice_isomorphic(h: Hypergraph) -> LatticeIsomorphism:
 
     The geometric side is rebuilt purely from the arithmetic incidence:
     each vertex becomes its set of incident facet supports and the faces
-    are all subsets of those sets (the power-set oracle).  The
-    combinatorial side takes every construct of the peeling recursion
-    and strips the connected components of the carrier.  The two
-    collections must coincide, the vertex map must send incidence sets
-    to constructions, and every facet support must be hit.
+    are all subsets of those sets, built by doubling: each support in
+    turn is joined to every subset built so far.  The combinatorial side
+    takes every construct of the peeling recursion and strips the
+    connected components of the carrier, keyed by the stripped face.
+    The two collections must coincide, the vertex map must send
+    incidence sets to constructions, and every facet support must be
+    hit.
     """
     rp = realize(h)
     mismatches: list[str] = []
@@ -230,23 +246,20 @@ def face_lattice_isomorphic(h: Hypergraph) -> LatticeIsomorphism:
 
     geometric: set[frozenset] = set()
     for fv in vertex_keys:
-        items = sorted(fv, key=set_sort_key)
-        for bits in range(1 << len(items)):
-            geometric.add(frozenset(items[i] for i in range(len(items))
-                                    if bits >> i & 1))
-    combinatorial = {c - comp_tops for c in enumerate_constructs(h)}
-    if geometric != combinatorial:
-        extra = geometric - combinatorial
-        missing = combinatorial - geometric
+        subsets = [frozenset()]
+        for s in fv:
+            one = frozenset((s,))
+            subsets += [t | one for t in subsets]
+        geometric.update(subsets)
+    combinatorial = {c - comp_tops: c for c in enumerate_constructs(h)}
+    faces = combinatorial.keys()
+    if geometric != faces:
         mismatches.append(
-            f"face collections differ ({len(extra)} geometric-only, "
-            f"{len(missing)} construct-only)")
+            f"face collections differ ({len(geometric - faces)} geometric-only, "
+            f"{len(faces - geometric)} construct-only)")
 
     ok = not mismatches
-    face_map = {}
-    if ok:
-        face_map = {s: s | comp_tops for s in geometric}
-    return LatticeIsomorphism(ok=ok, face_map=face_map,
+    return LatticeIsomorphism(ok=ok, face_map=combinatorial if ok else {},
                               mismatches=tuple(mismatches))
 
 

@@ -25,6 +25,7 @@ from nestohedra.hypergraph import (
     family_union,
     mask_sort_key,
     members_within,
+    set_sort_key,
 )
 from nestohedra.saturation import _dispensable_mask
 
@@ -222,8 +223,9 @@ def oracle_coordinates(k, n):
     """The vertex of the construction with member masks ``k``, read off
     its forest: the root atom of each member X gets 3**|X| minus 3**|Y|
     summed over the children Y of X, so the sum over every member
-    telescopes to 3**|X| (the library's route before the one-pass
-    solve)."""
+    telescopes to 3**|X|.  It builds the parent map first, independent
+    of the library's child-level sweep, which keeps only the trees read
+    so far and replaces a member's children by the member."""
     forest = _forest(k)
     out = [0] * n
     for m, (parent, root) in forest.items():
@@ -236,6 +238,20 @@ def oracle_coordinates(k, n):
         if m.bit_count() >= 2 and out[root] <= 3 ** (m.bit_count() - 1):
             raise NestohedraError("internal error: peeled coordinate too small")
     return tuple(out)
+
+
+def oracle_faces(rp) -> set:
+    """Every subset of every vertex's set of incident facet supports,
+    rebuilt from ``rp.incidence`` one bitmask per subset (the library's
+    route before the doubling power set)."""
+    supports = [spec.support for spec in rp.facet_specs]
+    faces = set()
+    for row in rp.incidence:
+        items = sorted((s for s, on in zip(supports, row) if on), key=set_sort_key)
+        for bits in range(1 << len(items)):
+            faces.add(frozenset(items[i] for i in range(len(items))
+                                if bits >> i & 1))
+    return faces
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,7 @@ class TestInvariantsUnderOptimize:
 
     @pytest.mark.parametrize("fn", [_read_forest, _block_fault, _fpoly,
                                     _antichain_constructions, _coordinates, realize,
+                                    face_lattice_isomorphic,
                                     FacePoset._from_families, abstract_polytope,
                                     verify_axioms, tubings_equal_constructs])
     def test_no_assert_statements(self, fn):
@@ -192,7 +193,8 @@ class TestInvariantsUnderOptimize:
 
     @pytest.mark.parametrize("argv", [["lattice", "H'_4321", "--format", "json"],
                                       ["verify", "H'_4321"], ["info", "H'_4321"],
-                                      ["atlas"]])
+                                      ["atlas"],
+                                      ["realize", "H'_4321", "--format", "off"]])
     def test_cli_under_optimize(self, argv):
         env = dict(os.environ, PYTHONPATH=str(Path(nestohedra.__file__).parents[1]))
         runs = [subprocess.run([sys.executable, *flags, "-m", "nestohedra.cli", *argv],

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from nestohedra import (
     catalog_lookup,
     check_vertex_membership,
     enumerate_constructions,
+    enumerate_constructs,
     f_vector,
     face_lattice_isomorphic,
     is_atomic,
@@ -40,6 +43,7 @@ from helpers import (
     graph,
     oracle_constructions,
     oracle_coordinates,
+    oracle_faces,
     paper_a,
     random_atomic,
     reference_vertex_rows,
@@ -91,8 +95,9 @@ class TestVertexCoordinates:
 
 
 class TestCoordinatesMatchOracle:
-    """The one-pass solve against the forest-telescoping oracle on every
-    construction."""
+    """The child-level sweep against the parent-map oracle on every
+    construction, its member masks passed as the peel's unsorted
+    frozensets."""
 
     @staticmethod
     def assert_matches(h):
@@ -144,6 +149,17 @@ class TestRealize:
         assert rp.dimension == 0
         assert len(rp.vertices) == 1
         assert rp.vertices[0][1] == (3, 3)
+
+    @pytest.mark.parametrize("sets", [[], [{"x"}], [{"x"}, {"y"}]],
+                             ids=["empty", "one-atom", "two-isolated-atoms"])
+    def test_facetless_incidence(self, sets):
+        # one vertex on no facet: one empty incidence row, not none
+        rp = realize(Hypergraph.from_sets(sets))
+        assert rp.facet_specs == ()
+        assert rp.incidence == ((),)
+        doc = json.loads(json.dumps(to_json_dict(rp)))
+        assert doc["incidence"] == [[]]
+        assert doc["facets"] == []
 
     def test_requires_atomic(self):
         with pytest.raises(NotAtomicError):
@@ -361,6 +377,93 @@ class TestIsomorphism:
 
     def test_works_through_closure(self):
         assert face_lattice_isomorphic(paper_a()).ok
+
+
+class TestPowerSetOracle:
+    """The faces of ``face_map`` against every subset of every vertex's
+    incident facet supports, one bitmask per subset, rebuilt from the
+    incidence rows; each face maps to itself joined with the block
+    tops."""
+
+    @staticmethod
+    def assert_faces(h):
+        iso = face_lattice_isomorphic(h)
+        assert iso.ok, iso.mismatches
+        assert set(iso.face_map) == oracle_faces(realize(h))
+        hbar = saturated_closure(h)
+        tops = frozenset(h.atom_set(family_union(c))
+                         for c in family_components(hbar.members))
+        assert all(c == s | tops for s, c in iso.face_map.items())
+
+    def test_every_catalog_entry(self):
+        for e in catalog():
+            if is_atomic(e.hypergraph):
+                self.assert_faces(e.hypergraph)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_graph_nestohedra(self, kind, n):
+        self.assert_faces(graph(kind, n))
+
+    @pytest.mark.parametrize("seed", range(300, 308))
+    def test_random_atomic_hypergraphs(self, seed):
+        self.assert_faces(random_atomic(random.Random(seed), 5 + seed % 2))
+
+
+def _flip_first_on_bit(rp):
+    row = list(rp.incidence[0])
+    row[row.index(True)] = False
+    return {"incidence": (tuple(row),) + rp.incidence[1:]}
+
+
+def _duplicate_first_vertex(rp):
+    return {"vertices": rp.vertices + rp.vertices[:1],
+            "incidence": rp.incidence + rp.incidence[:1]}
+
+
+def _zero_first_facet(rp):
+    return {"incidence": tuple((False,) + row[1:] for row in rp.incidence)}
+
+
+class TestIsomorphismFailures:
+    """A realization with a broken incidence must fail the geometric
+    oracle, name each fault and return no face map."""
+
+    @pytest.mark.parametrize("corrupt, expected", [
+        (_flip_first_on_bit, {"vertex incidence set does not rebuild its construction",
+                              "face collections differ"}),
+        (_duplicate_first_vertex, {"two vertices share an incidence set"}),
+        (_zero_first_facet, {"vertex incidence set does not rebuild its construction",
+                             "holds no vertex", "face collections differ"}),
+    ], ids=["flipped-bit", "duplicated-row", "zeroed-column"])
+    def test_mismatch_reported(self, monkeypatch, corrupt, expected):
+        h = abar()
+        rp = realize(h)
+        broken = dataclasses.replace(rp, **corrupt(rp))
+        monkeypatch.setattr(realization, "realize", lambda _: broken)
+        iso = face_lattice_isomorphic(h)
+        assert not iso.ok
+        assert iso.face_map == {}
+        found = {frag for frag in expected
+                 for msg in iso.mismatches if frag in msg}
+        assert found == expected, iso.mismatches
+        assert all(any(frag in msg for frag in expected) for msg in iso.mismatches)
+
+    def test_messages_name_the_fault(self, monkeypatch):
+        h = abar()
+        rp = realize(h)
+        broken = dataclasses.replace(rp, **_zero_first_facet(rp))
+        monkeypatch.setattr(realization, "realize", lambda _: broken)
+        iso = face_lattice_isomorphic(h)
+        support = sorted(rp.facet_specs[0].support)
+        assert f"facet {support} holds no vertex" in iso.mismatches
+        on_first = sum(row[0] for row in rp.incidence)
+        holding = [f for f in enumerate_constructs(h)
+                   if rp.facet_specs[0].support in f]
+        assert iso.mismatches[-1] == (
+            f"face collections differ (0 geometric-only, "
+            f"{len(holding)} construct-only)")
+        assert sum("does not rebuild" in msg for msg in iso.mismatches) == on_first
 
 
 class TestLimits:
