@@ -22,6 +22,7 @@ from .catalog import catalog_lookup, chart_edges, fvector_table
 from .axioms import verify_axioms, verify_inductive
 from .constructions import (
     _antichain_constructions,
+    _check_word_atoms,
     _ensure_atomic,
     _f_vector_and_rank,
     _peel,
@@ -92,6 +93,7 @@ def _cmd_info(args) -> int:
 def _cmd_enumerate(args) -> int:
     _, h = _load(args.source)
     _ensure_atomic(h)
+    _check_word_atoms(h.atoms)
     # the recursion's own output needs no second construction check
     words = sorted(str(_word(h, k)) for k in _peel(h.members, False))
     for w in words:

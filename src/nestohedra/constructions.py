@@ -17,12 +17,17 @@ is a construction when additionally |M| equals the carrier size.  One
 block check (``_block_fault``) uses it for recognition.  Oracles: the
 deletion recurrence ``_count`` for the counts, the pruned antichain
 search ``_antichain_constructions`` for the constructions, and the power
-set of each vertex's facets in ``face_lattice_isomorphic``.
+set of each vertex's facets in ``face_lattice_isomorphic``.  The route
+table ``ROUTES`` in ``tests/helpers.py`` names every route held against
+an oracle, and each test oracle.
 
 Three notations are carried: plain member families, forests (sets of
 trees, each a root atom plus child trees), and prefix words with a
 commutative ``+``.  Forests and words are read in one sweep over the
 members by size; the parent map ``_forest`` is the tests' oracle forest.
+Words parse back only when no atom name holds ``+``, ``(``, ``)`` or
+whitespace and none is a prefix of another; ``to_s_construction`` and
+``nestohedra enumerate`` refuse other names with ``WordAtomsError``.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .errors import (
     RepeatedAtomError,
     STermSyntaxError,
     UnknownAtomError,
+    WordAtomsError,
 )
 from .hypergraph import (
     Family,
@@ -453,9 +459,25 @@ def sterm_to_family(t: STerm) -> Family:
     raise TypeError(f"not an STerm: {t!r}")
 
 
+def _check_word_atoms(atoms: tuple[str, ...]) -> None:
+    """Raise ``WordAtomsError`` when words over ``atoms`` may not parse
+    back.  Greedy longest-match parsing is exact when no name holds a
+    word symbol and no name is a prefix of another (in sorted order a
+    name's extensions follow it directly)."""
+    bad = [a for a in atoms if any(c in "+()" or c.isspace() for c in a)]
+    if bad:
+        raise WordAtomsError(f"words cannot be written: atom names {bad} hold "
+                             "'+', '(', ')' or whitespace")
+    ordered = sorted(atoms)
+    clash = [[a, b] for a, b in zip(ordered, ordered[1:]) if b.startswith(a)]
+    if clash:
+        raise WordAtomsError(f"words cannot be written: atom names are not prefix-free: {clash}")
+
+
 def _word(h: Hypergraph, masks: Iterable[int]) -> STerm:
     """Canonical word of the construction with the already-checked
-    member ``masks``."""
+    member ``masks``, over atom names that ``_check_word_atoms``
+    accepts."""
     def word(terms: list[STerm]) -> STerm:
         return make_sum(terms) if terms else EMPTY
 
@@ -463,7 +485,10 @@ def _word(h: Hypergraph, masks: Iterable[int]) -> STerm:
 
 
 def to_s_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> STerm:
-    """Canonical word form of a construction."""
+    """Canonical word form of a construction; raises ``WordAtomsError``
+    when the atom names cannot be spelled so that the word parses
+    back."""
+    _check_word_atoms(h.atoms)
     return _word(h, _construction_masks(h, k))
 
 

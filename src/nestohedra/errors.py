@@ -53,6 +53,10 @@ class RepeatedAtomError(NestohedraError, ValueError):
     pass
 
 
+class WordAtomsError(NestohedraError, ValueError):
+    """Atom names that words cannot spell so that they parse back."""
+
+
 class CarrierOverlapError(NestohedraError, ValueError):
     pass
 

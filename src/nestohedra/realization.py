@@ -100,8 +100,10 @@ def _coordinates(k: Iterable[int], n: int) -> tuple[int, ...]:
                 else:  # a child of m
                     x -= tree[1]
             trees = rest
-            # the root coordinate always clears the next-lower level, so
-            # no coordinate is below 3
+            # on a construction the children are disjoint and cover
+            # |X| - 1 atoms, so their levels sum to at most 3**(|X| - 1)
+            # and the root gets at least 2 * 3**(|X| - 1): this guard
+            # cannot fire there, and no coordinate is below 3
             if x <= level // 3:
                 raise NestohedraError("internal error: peeled coordinate too small")
         out[root.bit_length() - 1] = x

@@ -1,32 +1,35 @@
-"""Shared generators for the exhaustive desk-scale tests."""
+"""Shared generators for the exhaustive desk-scale tests, the oracles,
+the differential corpus and the route table that holds each production
+route against its oracle."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 import string
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Callable, Iterable
 
+import pytest
+
 from nestohedra import (
-    BOTTOM,
-    FacePoset,
-    abstract_polytope,
-    catalog_lookup,
-    is_asc,
-    saturated_closure,
-)
-from nestohedra.constructions import _block_fault
-from nestohedra.errors import NestohedraError
+    BOTTOM, FacePoset, abstract_polytope, bare_kernel, catalog, catalog_lookup, continuation,
+    count_constructions, dispensable_subsets, enumerate_constructions, enumerate_constructs,
+    f_vector, face_label, face_lattice_isomorphic, finest_partition, is_asc, is_atomic,
+    is_construction, quotient, realize, restriction, saturated_closure, to_f_construction,
+    to_s_construction)
+from nestohedra.constructions import (
+    EMPTY, Prefix, _antichain_constructions, _block_fault, _f_vector_and_rank, _peel, _word,
+    make_sum)
+from nestohedra.errors import BadFactorError, NestohedraError
 from nestohedra.facelattice import _induced
 from nestohedra.hypergraph import (
-    Hypergraph,
-    bits_of,
-    family_components,
-    family_is_connected,
-    family_union,
-    mask_sort_key,
-    members_within,
-    set_sort_key,
-)
+    Hypergraph, bits_of, family_components, family_is_connected, family_union, mask_sort_key,
+    members_within, set_sort_key)
+from nestohedra.realization import _coordinates
 from nestohedra.saturation import _dispensable_mask
 
 ATOMS = ("x", "y", "z", "u")
@@ -35,10 +38,6 @@ ATOMS = ("x", "y", "z", "u")
 def frozen(*atom_strings):
     """frozen('x', 'yz') -> frozenset({frozenset({'x'}), frozenset({'y','z'})})"""
     return frozenset(frozenset(s) for s in atom_strings)
-
-
-def fs(s: str) -> frozenset:
-    return frozenset(s)
 
 
 def all_atomic_hypergraphs(k: int):
@@ -74,6 +73,11 @@ def paper_a():
     return Hypergraph.from_sets(
         [{"x"}, {"y"}, {"z"}, {"u"},
          {"x", "y"}, {"y", "z"}, {"z", "u"}, {"x", "y", "z"}])
+
+
+def abar():
+    """The saturated closure of ``paper_a``: the 3-D associahedron."""
+    return saturated_closure(paper_a())
 
 
 def paper_e():
@@ -113,33 +117,17 @@ def random_atomic(rng, k):
 # peeling recursion)
 # ---------------------------------------------------------------------------
 
-_ENUM_MEMO: dict[frozenset[int], frozenset[frozenset[int]]] = {}
-
-
+@functools.cache
 def _constructions(members: frozenset[int]) -> frozenset[frozenset[int]]:
-    got = _ENUM_MEMO.get(members)
-    if got is not None:
-        return got
     if not members:
-        out = frozenset({frozenset()})
-    else:
-        comps = family_components(members)
-        if len(comps) == 1:
-            carrier = family_union(members)
-            acc: set[frozenset[int]] = set()
-            for b in bits_of(carrier):
-                bit = 1 << b
-                sub = frozenset(m for m in members if not m & bit)
-                for k in _constructions(sub):
-                    acc.add(k | {carrier})
-            out = frozenset(acc)
-        else:
-            acc = set()
-            for combo in itertools.product(*(_constructions(c) for c in comps)):
-                acc.add(frozenset().union(*combo))
-            out = frozenset(acc)
-    _ENUM_MEMO[members] = out
-    return out
+        return frozenset({frozenset()})
+    comps = family_components(members)
+    if len(comps) > 1:
+        return frozenset(frozenset().union(*combo)
+                         for combo in itertools.product(*map(_constructions, comps)))
+    carrier = family_union(members)
+    return frozenset(k | {carrier} for b in bits_of(carrier)
+                     for k in _constructions(frozenset(m for m in members if not m >> b & 1)))
 
 
 def oracle_constructions(h):
@@ -168,17 +156,23 @@ def oracle_block_constructions(members, carrier):
 
 
 def reference_vertex_rows(h):
-    """(construction, incidence row) pairs of an atomic hypergraph's
-    realization, constructions from the deletion oracle sorted by the
-    sorted ``mask_sort_key`` list of their member masks, each row saying
-    which non-block members of the closure (in canonical order) the
-    construction holds."""
+    """(construction, incidence row, equation signs) triples of an
+    atomic hypergraph's realization, constructions from the deletion
+    oracle sorted by the sorted ``mask_sort_key`` list of their member
+    masks.  The row says which non-block members of the closure (in
+    canonical order) the construction holds.  The signs are the defining
+    equations: over every member X of the closure (in canonical order) a
+    vertex sums to exactly 3**|X| (sign 0) when X is in its
+    construction, block tops included, and to more (sign 1) otherwise;
+    these equations fix the point."""
     hbar = saturated_closure(h)
     tops = {family_union(c) for c in family_components(hbar.members)}
     cons = sorted(_constructions(hbar.members),
                   key=lambda k: sorted(mask_sort_key(m) for m in k))
-    facets = [m for m in sorted(hbar.members, key=mask_sort_key) if m not in tops]
-    return [(hbar.family(k), tuple(m in k for m in facets)) for k in cons]
+    order = sorted(hbar.members, key=mask_sort_key)
+    facets = [m for m in order if m not in tops]
+    return [(hbar.family(k), tuple(m in k for m in facets),
+             tuple(int(m not in k) for m in order)) for k in cons]
 
 
 def _forest(k: Iterable[int]) -> dict[int, tuple[int, int]]:
@@ -233,8 +227,10 @@ def oracle_coordinates(k, n):
         if parent:
             out[forest[parent][1]] -= 3 ** m.bit_count()
     for m, (_, root) in forest.items():
-        # the root coordinate always clears the next-lower level, so no
-        # coordinate is below 3
+        # X's children are disjoint and cover |X| - 1 atoms, so their
+        # levels sum to at most 3**(|X| - 1) and the root gets at least
+        # 2 * 3**(|X| - 1) (row coordinate-floor): this guard cannot fire
+        # on a construction, and no coordinate is below 3
         if m.bit_count() >= 2 and out[root] <= 3 ** (m.bit_count() - 1):
             raise NestohedraError("internal error: peeled coordinate too small")
     return tuple(out)
@@ -415,3 +411,366 @@ def diamond_poset() -> FacePoset:
     faces = [("bot", -1), ("a", 0), ("b", 0), ("top", 1)]
     covers = [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
     return FacePoset.from_covers(faces, covers)
+
+
+# ---------------------------------------------------------------------------
+# the differential corpus and the route table
+# ---------------------------------------------------------------------------
+
+KINDS = ("path", "cycle", "star", "complete")
+# the random inputs the per-route tests drew before the table: one
+# random_atomic draw per seed, and streams of draws (seed: draws)
+RANDOM_SEEDS = (*range(8), *range(100, 108), *range(200, 208), *range(300, 308),
+                *range(1000, 1012))
+RANDOM_STREAMS = {6: 12, 7: 20, 12: 12, 13: 12, 17: 12}
+
+
+def seeded(seed: int) -> Hypergraph:
+    return random_atomic(random.Random(seed), 5 + seed % 2)
+
+
+@functools.cache
+def tier(name: str) -> tuple[Hypergraph, ...]:
+    """One tier of the corpus, without repeats: ``atomic`` (every atomic
+    hypergraph on at most four atoms), ``non-atomic`` (the others on at
+    most three), ``catalog`` (its atomic entries), ``graphs`` (path,
+    cycle, star and complete on n <= 7) or ``random`` (on 5-6 atoms)."""
+    if name == "atomic":
+        hs = [h for k in range(5) for h in all_atomic_hypergraphs(k)]
+    elif name == "non-atomic":
+        hs = [h for k in range(4) for h in all_hypergraphs(k) if not is_atomic(h)]
+    elif name == "catalog":
+        hs = [e.hypergraph for e in catalog() if is_atomic(e.hypergraph)]
+    elif name == "graphs":
+        hs = [graph(kind, n) for kind in KINDS for n in range(1, 8)]
+    elif name == "random":
+        hs = [seeded(s) for s in RANDOM_SEEDS]
+        for seed, draws in RANDOM_STREAMS.items():
+            rng = random.Random(seed)
+            hs += [random_atomic(rng, rng.choice((5, 6))) for _ in range(draws)]
+    else:
+        raise KeyError(name)
+    return tuple(dict.fromkeys(hs))
+
+
+def _forests_and_words(h):
+    out = []
+    for k in _peel(h.members, False):
+        fam = h.family(k)
+        out.append((to_f_construction(h, fam), to_s_construction(h, fam), str(_word(h, k))))
+    return out
+
+
+def oracle_forests_and_words(h):
+    """Forest, word and printed word of every construction, read off the
+    parent map in one pass that builds (tree, word) pairs."""
+    def word(terms):
+        return make_sum(terms) if terms else EMPTY
+
+    def node(atom, pairs):
+        trees, words = [t for t, _ in pairs], [w for _, w in pairs]
+        return frozenset({atom, *trees}), Prefix(atom, word(words))
+
+    def top(pairs):
+        return frozenset(t for t, _ in pairs), word([w for _, w in pairs])
+
+    out = []
+    for k in _peel(h.members, False):
+        forest, w = oracle_read_forest(h, k, node, top)
+        out.append((forest, w, str(w)))
+    return out
+
+
+# many inputs share closure blocks: each side runs once per block
+@functools.cache
+def _antichain_block(b):
+    got = _antichain_constructions(b.members, b.carrier_mask)
+    return got, frozenset(b.family(k) for k in got)
+
+
+@functools.cache
+def _oracle_block(b):
+    return oracle_block_constructions(b.members, b.carrier_mask), enumerate_constructions(b)
+
+
+def _closure_blocks(h):
+    return sorted(finest_partition(saturated_closure(h)), key=lambda b: b.atoms)
+
+
+def oracle_antichain_blocks(h):
+    """Per block of the closure: its constructions by brute force and by
+    the peel."""
+    return [_oracle_block(b) for b in _closure_blocks(h)]
+
+
+def oracle_f_vector(h):
+    p = abstract_polytope(h)
+    return f_vector(p), p.rank
+
+
+def _reverse_inclusion(a, b):
+    return a is BOTTOM or (b is not BOTTOM and b <= a)
+
+
+def pairwise_order(faces_ranks, leq=_reverse_inclusion):
+    """Faces sorted by rank and label, their ranks and up-set bitmasks,
+    from one ``leq`` test per ordered pair of faces (a construct lies
+    below every construct it contains, the bottom below everything).
+    Under reverse inclusion a face contains no other face of its own or
+    a lower rank, since ranks fall as faces grow, so only faces of a
+    higher rank are tested."""
+    items = sorted(faces_ranks, key=lambda fr: (fr[1], face_label(fr[0])))
+    faces = [f for f, _ in items]
+    ranks = [r for _, r in items]
+    bits = [1 << j for j in range(len(faces))]
+    above = []
+    for i, f in enumerate(faces):
+        start = bisect_right(ranks, ranks[i]) if leq is _reverse_inclusion else 0
+        above.append(bits[i] | sum(compress(bits[start:], map(leq, repeat(f), faces[start:]))))
+    return faces, ranks, above
+
+
+def construct_faces(h):
+    return [(BOTTOM, -1)] + [(c, h.n_atoms - len(c)) for c in enumerate_constructs(h)]
+
+
+def oracle_poset(h):
+    return pairwise_order(construct_faces(h))
+
+
+# both sides of the build-time row read one build
+_poset = functools.lru_cache(maxsize=1)(abstract_polytope)
+
+
+def oracle_transposes(h):
+    """Down-sets by the generic transpose of the order, covers by the
+    generic cover scan."""
+    p = _poset(h)
+    generic = FacePoset(p.faces, p.ranks, p._above)
+    return generic._below, generic._cover_masks()
+
+
+@functools.cache
+def _continuation_draws() -> dict[Hypergraph, list]:
+    """(y, k, j) calls per ASC hypergraph on one to four atoms, drawn in
+    that order from one stream: for every member y, sampled true
+    factors, and sampled or broken ones (a random subfamily, the empty
+    family, the empty set, an unknown atom, a member crossing y), one
+    bad factor per call."""
+    rng = random.Random(11)
+
+    def key(fam):
+        return sorted(map(sorted, fam))
+
+    draws = {}
+    for h in (h for n in range(1, 5) for h in all_asc_hypergraphs(n)):
+        members = sorted(h.member_sets, key=sorted)
+        calls = draws[h] = []
+        for y in members:
+            rest = frozenset(h.atoms) - y
+            r, q = _factors(h, y)
+            ks = sorted(enumerate_constructions(r), key=key)
+            js = [frozenset()] if q is None else sorted(enumerate_constructions(q), key=key)
+            k0, j0 = ks[0], js[0]
+            inside = [m for m in members if m <= y]
+            crossing = [m for m in members if m & y and m - y]
+            traces = sorted({m & rest for m in members if m & rest}, key=sorted)
+            k_cands = rng.sample(ks, min(2, len(ks))) + [
+                frozenset(rng.sample(inside, rng.randint(0, len(inside)))),
+                frozenset(), k0 | {frozenset()}, k0 | {frozenset("q")}]
+            if crossing:
+                k_cands.append(k0 - {y} | {rng.choice(crossing)})
+            j_cands = rng.sample(js, min(2, len(js))) + [
+                frozenset(rng.sample(traces, rng.randint(0, len(traces)))),
+                frozenset(), j0 | {frozenset()}, j0 | {frozenset("q")},
+                # crosses y; a nonempty factor when y is the carrier
+                j0 | {(traces[0] if traces else frozenset()) | {min(y)}}]
+            calls += [(y, k, j0) for k in k_cands] + [(y, k0, j) for j in j_cands]
+    return draws
+
+
+def _outcomes(glue, h):
+    """``glue`` on every call: its result, or its ``BadFactorError``
+    message."""
+    out = []
+    for y, k, j in _continuation_draws().get(h, ()):
+        try:
+            out.append(glue(h, y, k, j))
+        except BadFactorError as exc:
+            out.append(str(exc))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _factors(h, y):
+    rest = frozenset(h.atoms) - y
+    return restriction(h, y), quotient(h, rest) if rest else None
+
+
+def oracle_continuation(h, y, k, j):
+    """Restriction x trace: the factors must be constructions of the
+    restriction to y and of the trace on the rest; they glue through
+    the members of ``h``."""
+    r, q = _factors(h, y)
+    if not is_construction(r, k):
+        raise BadFactorError("first factor is not a construction of the restriction")
+    if q is None:
+        if j:
+            raise BadFactorError("second factor must be empty when y is the carrier")
+        return k
+    if not is_construction(q, j):
+        raise BadFactorError("second factor is not a construction of the trace")
+    return k | {x | y if x | y in h.member_sets else x for x in j}
+
+
+def _roots_under_the_floor(h):
+    """(construction, member X) pairs, |X| >= 2, whose root coordinate
+    from ``_coordinates`` is below 2 * 3**(|X| - 1): there are none."""
+    out = []
+    for k in _peel(h.members, False):
+        coords = _coordinates(k, h.n_atoms)
+        out += [(sorted(k), m) for m, (_, root) in _forest(k).items()
+                if m.bit_count() >= 2 and coords[root] < 2 * 3 ** (m.bit_count() - 1)]
+    return out
+
+
+def _vertex_rows(h):
+    """Each vertex's construction, incidence row and, per closure member
+    X, the sign of its coordinate sum minus 3**|X|."""
+    rp = realize(h)
+    order = sorted(saturated_closure(h).members, key=mask_sort_key)
+
+    def sign(coords, m):
+        d = sum(coords[i] for i in bits_of(m)) - 3 ** m.bit_count()
+        return (d > 0) - (d < 0)
+
+    return [(fam, row, tuple(sign(coords, m) for m in order))
+            for (fam, coords), row in zip(rp.vertices, rp.incidence)]
+
+
+def _rows(vertices):
+    return [(fam, row) for fam, row, _ in vertices]
+
+
+def _equations(vertices):
+    return [(fam, signs) for fam, _, signs in vertices]
+
+
+def oracle_face_map(h):
+    """Every face from the bitmask power set, joined with the block
+    tops."""
+    hbar = saturated_closure(h)
+    tops = frozenset(h.atom_set(family_union(c)) for c in family_components(hbar.members))
+    return True, {s: s | tops for s in oracle_faces(realize(h))}
+
+
+@dataclass(frozen=True)
+class Route:
+    """A production route and its oracle, both maps from a hypergraph to
+    a value that must agree on every input of the slice: the named
+    tiers, capped at ``max_atoms``."""
+    name: str
+    production: Callable[[Hypergraph], object]
+    oracle: Callable[[Hypergraph], object]
+    tiers: tuple[str, ...]
+    max_atoms: int = 6
+
+    def corpus(self) -> list[Hypergraph]:
+        return list(dict.fromkeys(h for t in self.tiers for h in tier(t)
+                                  if h.n_atoms <= self.max_atoms))
+
+
+ATOMIC = ("atomic", "catalog", "graphs", "random")
+GEOMETRIC = ("catalog", "graphs", "random")
+ALL = ("non-atomic",) + ATOMIC
+
+_ROWS = [
+    Route("peel-constructions", enumerate_constructions, oracle_constructions, ATOMIC),
+    Route("peel-constructs", enumerate_constructs, oracle_constructs, ATOMIC),
+    Route("forests-and-words", _forests_and_words, oracle_forests_and_words, ATOMIC),
+    Route("antichain-constructions", lambda h: [_antichain_block(b) for b in _closure_blocks(h)],
+          oracle_antichain_blocks, ("atomic", "random")),
+    Route("count", count_constructions, lambda h: len(enumerate_constructions(h)), ATOMIC),
+    Route("union-closure", saturated_closure, oracle_saturated_closure, ALL, 7),
+    Route("bare-kernel", bare_kernel, oracle_bare_kernel, ALL, 7),
+    Route("dispensable-subsets", dispensable_subsets, oracle_dispensable_subsets, ALL, 7),
+    Route("f-vector", _f_vector_and_rank, oracle_f_vector, ATOMIC),
+    Route("pairwise-order", lambda h: (list((p := abstract_polytope(h)).faces), list(p.ranks),
+                                       list(p._above)), oracle_poset, GEOMETRIC),
+    Route("build-time-shortcuts", lambda h: (_poset(h)._below, _poset(h)._covers),
+          oracle_transposes, ATOMIC),
+    Route("continuation", lambda h: _outcomes(continuation, h),
+          lambda h: _outcomes(oracle_continuation, h), ("atomic",)),
+    Route("coordinates", lambda h: [_coordinates(k, h.n_atoms) for k in _peel(h.members, False)],
+          lambda h: [oracle_coordinates(k, h.n_atoms) for k in _peel(h.members, False)],
+          GEOMETRIC),
+    Route("coordinate-floor", _roots_under_the_floor, lambda h: [], ATOMIC),
+    Route("vertex-order", lambda h: _rows(_vertex_rows(h)),
+          lambda h: _rows(reference_vertex_rows(h)), GEOMETRIC),
+    Route("defining-equations", lambda h: _equations(_vertex_rows(h)),
+          lambda h: _equations(reference_vertex_rows(h)), GEOMETRIC),
+    Route("power-set", lambda h: ((iso := face_lattice_isomorphic(h)).ok, iso.face_map),
+          oracle_face_map, GEOMETRIC),
+]
+ROUTES = {r.name: r for r in _ROWS}
+
+
+def check(name: str, hs: Iterable[Hypergraph] | None = None) -> None:
+    """Assert that route ``name`` agrees with its oracle on every input
+    of ``hs``, by default its whole slice."""
+    route = ROUTES[name]
+    for h in route.corpus() if hs is None else hs:
+        got, want = route.production(h), route.oracle(h)
+        assert got == want, (name, h)
+
+
+# The tests the table replaced keep their node ids, and each runs its
+# old share of one row, so that every (row, input) pair is checked once:
+# the rows of OWNED are run whole by the old test that names them, and
+# the per-class tests of KEPT run, through ``kept_ids(row)``, the atomic
+# catalog, the graph families on n <= max_n and ``seeded(offset + s)``
+# per seed s.  ``test_routes.py::test_route`` runs every other pair.
+OWNED = frozenset({"peel-constructions", "peel-constructs", "forests-and-words",
+                   "antichain-constructions", "count", "union-closure", "bare-kernel",
+                   "dispensable-subsets", "f-vector", "continuation"})
+KEPT = {  # row: (seeds, offset, max_n) of test_poset_builder.py / test_realization.py
+    "pairwise-order": (range(8), 0, 6),  # TestAbstractPolytope
+    "build-time-shortcuts": (range(12), 1000, 6),  # TestBuildTimeShortcuts
+    "coordinates": (range(200, 208), 0, 6),  # TestCoordinatesMatchOracle
+    "defining-equations": (range(8), 0, 6),  # TestDefiningEquations
+    "vertex-order": (range(100, 108), 0, 6),  # TestVertexOrder
+    "power-set": (range(300, 308), 0, 5),  # TestPowerSetOracle
+}
+
+
+def kept_inputs(name: str) -> set[Hypergraph]:
+    """The inputs of row ``name`` that kept node ids run."""
+    if name not in KEPT:
+        return set()
+    seeds, offset, max_n = KEPT[name]
+    hs = {*tier("catalog"), *(graph(kind, n) for kind in KINDS for n in range(1, max_n + 1)),
+          *(seeded(offset + s) for s in seeds)}
+    if name == "build-time-shortcuts":  # its test_every_atomic_hypergraph[k] and empty input
+        hs.update(tier("atomic"))
+    return hs
+
+
+def kept_ids(name: str) -> type:
+    """The three kept tests of the per-class test that row ``name``
+    replaced, as a base class."""
+    seeds, offset, max_n = KEPT[name]
+
+    class Kept:
+        def test_every_catalog_entry(self):
+            check(name, tier("catalog"))
+
+        @pytest.mark.parametrize("kind", KINDS)
+        @pytest.mark.parametrize("n", range(1, max_n + 1))
+        def test_graph_nestohedra(self, kind, n):
+            check(name, [graph(kind, n)])
+
+        @pytest.mark.parametrize("seed", seeds)
+        def test_random_atomic_hypergraphs(self, seed):
+            check(name, [seeded(offset + seed)])
+
+    return Kept

@@ -241,6 +241,21 @@ class TestErrors:
         assert run([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("carrier, members, named", [
+        (["a", "b", "ab"], [["a"], ["b"], ["ab"], ["a", "b"], ["b", "ab"]],
+         "not prefix-free: [['a', 'ab']]"),
+        (["a", "+x"], [["a"], ["+x"], ["a", "+x"]], "['+x']"),
+    ], ids=["prefix", "plus"])
+    def test_enumerate_unspellable_atom_names_exits_2(self, tmp_path, capsys, carrier,
+                                                      members, named):
+        # "abab" would print twice for the first; "a+x" is no word
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"carrier": carrier, "members": members}))
+        assert run(["enumerate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: words cannot be written") and named in err
+
     def test_usage_error(self):
         assert run(["frobnicate"]) == 2
 

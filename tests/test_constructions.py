@@ -1,5 +1,4 @@
 import itertools
-import random
 from math import comb, factorial
 
 import pytest
@@ -7,30 +6,22 @@ import pytest
 from nestohedra import (
     Hypergraph,
     as_graph,
-    catalog,
     count_constructions,
     enumerate_constructions,
     enumerate_constructs,
     finest_partition,
     is_construct,
-    is_atomic,
     is_construction,
     is_tubing,
     saturated_closure,
     superficial_elements,
     to_f_construction,
-    to_s_construction,
 )
 from nestohedra.constructions import (
-    EMPTY,
-    Prefix,
-    _antichain_constructions,
     _f_vector_and_rank,
     _fpoly,
     _peel,
     _read_forest,
-    _word,
-    make_sum,
 )
 from nestohedra.errors import (
     NestohedraError,
@@ -45,21 +36,17 @@ from helpers import (
     L,
     M,
     N,
+    ROUTES,
+    abar,
     all_asc_hypergraphs,
     all_atomic_hypergraphs,
+    check,
     frozen,
     graph,
-    oracle_block_constructions,
-    oracle_constructions,
-    oracle_constructs,
     oracle_read_forest,
     paper_a,
-    random_atomic,
+    tier,
 )
-
-
-def abar():
-    return saturated_closure(paper_a())
 
 
 class TestEnumerate:
@@ -98,9 +85,7 @@ class TestEnumerate:
                 assert tops <= k
 
     def test_count_recursion_agrees(self):
-        for k in range(5):
-            for h in all_atomic_hypergraphs(k):
-                assert count_constructions(h) == len(enumerate_constructions(h))
+        check("count")
 
 
 class TestIsConstruction:
@@ -259,49 +244,14 @@ class TestFConstruction:
             to_f_construction(paper_a(), frozen("x", "y", "qq", "xyzu"))
 
 
-def _forest_inputs():
-    """Every atomic hypergraph on up to four atoms, the atomic catalog
-    entries, the path, cycle, star and complete graphs on up to six
-    vertices, and seeded random atomic inputs on five and six atoms."""
-    for k in range(5):
-        yield from all_atomic_hypergraphs(k)
-    yield from (e.hypergraph for e in catalog() if is_atomic(e.hypergraph))
-    for kind in ("path", "cycle", "star", "complete"):
-        for n in range(1, 7):
-            yield graph(kind, n)
-    rng = random.Random(13)
-    for _ in range(12):
-        yield random_atomic(rng, rng.choice((5, 6)))
-
-
-def _tree(atom, trees):
-    return frozenset({atom, *trees})
-
-
-def _sum_or_empty(terms):
-    return make_sum(terms) if terms else EMPTY
-
-
-def _prefix(atom, terms):
-    return Prefix(atom, _sum_or_empty(terms))
-
-
 class TestForestOracle:
     """The by-size sweep that reads forests and words, held against the
-    parent-map recursion it replaced (``helpers.oracle_read_forest``)."""
+    parent-map recursion it replaced (route ``forests-and-words``)."""
 
     def test_forests_and_words_match_parent_map_route(self):
-        read = 0
-        for h in _forest_inputs():
-            for k in _peel(h.members, False):
-                fam = h.family(k)
-                forest = oracle_read_forest(h, k, _tree, frozenset)
-                word = oracle_read_forest(h, k, _prefix, _sum_or_empty)
-                assert to_f_construction(h, fam) == forest, (h, fam)
-                assert to_s_construction(h, fam) == word, (h, fam)
-                assert str(_word(h, k)) == str(word), (h, fam)
-                read += 1
-        assert read == 35161
+        check("forests-and-words")
+        corpus = ROUTES["forests-and-words"].corpus()
+        assert sum(len(_peel(h.members, False)) for h in corpus) == 36327
 
     def test_two_roots_in_one_member(self):
         # {a} inside {a,b,c} leaves b and c both unfixed
@@ -331,31 +281,15 @@ class TestOracleEquivalence:
                 enumerate_constructions(saturated_closure(h))
 
 
-def _peeling_inputs():
-    """Every atomic hypergraph on <= 4 atoms (non-saturated and
-    disconnected ones included), the atomic catalog entries, the graph
-    families on <= 6 vertices and 12 seeded random ones on 5-6 atoms."""
-    hs = [h for k in range(5) for h in all_atomic_hypergraphs(k)]
-    hs += [e.hypergraph for e in catalog() if is_atomic(e.hypergraph)]
-    hs += [graph(kind, n) for kind in ("path", "cycle", "star", "complete")
-           for n in range(1, 7)]
-    rng = random.Random(6)
-    hs += [random_atomic(rng, rng.choice((5, 6))) for _ in range(12)]
-    return hs
-
-
 class TestPeelingMatchesPowerSet:
-    """The peeling recursion against the routes it replaced: one-atom
-    deletion with de-duplication, and the power set of every
-    construction (``tests/helpers.py``)."""
+    """The peeling recursion against the routes it replaced (rows
+    ``peel-constructions`` and ``peel-constructs``)."""
 
     def test_constructions(self):
-        for h in _peeling_inputs():
-            assert enumerate_constructions(h) == oracle_constructions(h), h
+        check("peel-constructions")
 
     def test_constructs(self):
-        for h in _peeling_inputs():
-            assert enumerate_constructs(h) == oracle_constructs(h), h
+        check("peel-constructs")
 
 
 class TestPeelingIgnoresSaturation:
@@ -365,7 +299,7 @@ class TestPeelingIgnoresSaturation:
 
     @pytest.mark.parametrize("constructs", [False, True])
     def test_hypergraph_peels_like_its_closure(self, constructs):
-        for h in _peeling_inputs():
+        for h in ROUTES["peel-constructions"].corpus():
             assert _peel(h.members, constructs) == \
                 _peel(saturated_closure(h).members, constructs), h
 
@@ -467,24 +401,11 @@ class TestClosedForms:
 
 
 class TestAntichainOracle:
-    """The pruned antichain search that ``verify`` holds the peel against,
-    itself held against the brute force over every subfamily of carrier
-    size (``tests/helpers.py``)."""
-
-    @staticmethod
-    def _agree(block):
-        got = _antichain_constructions(block.members, block.carrier_mask)
-        assert got == oracle_block_constructions(block.members, block.carrier_mask), block
-        assert frozenset(block.family(k) for k in got) == enumerate_constructions(block)
+    """The pruned antichain search that ``verify`` holds the peel against
+    (row ``antichain-constructions``)."""
 
     def test_asc_up_to_four_atoms(self):
-        for k in range(5):
-            for h in all_asc_hypergraphs(k):
-                self._agree(h)
+        check("antichain-constructions", tier("atomic"))
 
     def test_random_blocks_on_five_and_six_atoms(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            h = random_atomic(rng, rng.choice((5, 6)))
-            for block in finest_partition(saturated_closure(h)):
-                self._agree(block)
+        check("antichain-constructions", tier("random"))

@@ -38,14 +38,11 @@ from nestohedra.errors import (
 from nestohedra.constructions import _f_vector_and_rank
 from nestohedra.facelattice import to_dot, to_json_dict
 
-from helpers import L, M, N, all_asc_hypergraphs, frozen, graph, paper_a, random_atomic
+from helpers import (L, M, N, _outcomes, abar, all_asc_hypergraphs, check, frozen,
+                     graph, paper_a, tier)
 
 
 ALPHA = frozenset("xyzu")
-
-
-def abar():
-    return saturated_closure(paper_a())
 
 
 class TestAbstractPolytope:
@@ -76,14 +73,9 @@ class TestAbstractPolytope:
             assert p.top() == frozenset(tops)
 
     def test_rank_formula(self):
-        # also holds the construct-count route of info and atlas against
-        # the poset, from the same build
-        import helpers
-        for k in range(5):
-            for h in helpers.all_atomic_hypergraphs(k):
-                p = abstract_polytope(h)
-                assert p.rank == h.n_atoms - len(finest_partition(h))
-                assert _f_vector_and_rank(h) == (f_vector(p), p.rank), h
+        # the f-vector row holds this rank to the poset's
+        for h in tier("atomic"):
+            assert _f_vector_and_rank(h)[1] == h.n_atoms - len(finest_partition(h))
 
     def test_vertex_incident_with_rank_many_facets(self):
         from nestohedra import catalog
@@ -125,14 +117,7 @@ class TestFVector:
         assert f_vector(p) == (24, 36, 14)
 
     def test_construct_counts_give_the_poset_f_vector(self):
-        # the atomic hypergraphs on <= 4 atoms are in test_rank_formula
-        hs = [graph(kind, n) for kind in ("path", "cycle", "star", "complete")
-              for n in range(1, 7)]
-        rng = random.Random(12)
-        hs += [random_atomic(rng, rng.choice((5, 6))) for _ in range(12)]
-        for h in hs:
-            p = abstract_polytope(h)
-            assert _f_vector_and_rank(h) == (f_vector(p), p.rank), h
+        check("f-vector")
 
 
 class TestMeetJoin:
@@ -302,71 +287,13 @@ class TestContinuation:
         assert type(got.value) is BadFactorError
         assert str(got.value) == message
 
-    @staticmethod
-    def _oracle(hsets, y, r, q, k, j):
-        """Restriction x trace: the factors must be constructions of the
-        restriction ``r`` to y and of the trace ``q`` on the rest; they
-        glue through the members ``hsets``."""
-        if not is_construction(r, k):
-            raise BadFactorError("first factor is not a construction of the restriction")
-        if q is None:
-            if j:
-                raise BadFactorError("second factor must be empty when y is the carrier")
-            return k
-        if not is_construction(q, j):
-            raise BadFactorError("second factor is not a construction of the trace")
-        return k | {x | y if x | y in hsets else x for x in j}
-
     def test_matches_restriction_trace_oracle(self):
-        rng = random.Random(11)
-
-        def key(fam):
-            return sorted(map(sorted, fam))
-
-        calls = rejected = 0
-        for n_atoms in range(1, 5):
-            for h in all_asc_hypergraphs(n_atoms):
-                carrier = frozenset(h.atoms)
-                hsets = h.member_sets
-                members = sorted(hsets, key=sorted)
-                for y in members:
-                    rest = carrier - y
-                    r = restriction(h, y)
-                    q = quotient(h, rest) if rest else None
-                    ks = sorted(enumerate_constructions(r), key=key)
-                    js = sorted(enumerate_constructions(q), key=key) if q else [frozenset()]
-                    k0, j0 = ks[0], js[0]
-                    inside = [m for m in members if m <= y]
-                    crossing = [m for m in members if m & y and m - y]
-                    traces = sorted({m & rest for m in members if m & rest}, key=sorted)
-                    k_cands = rng.sample(ks, min(2, len(ks))) + [
-                        frozenset(rng.sample(inside, rng.randint(0, len(inside)))),
-                        frozenset(),
-                        k0 | {frozenset()},
-                        k0 | {frozenset("q")},
-                    ]
-                    if crossing:
-                        k_cands.append(k0 - {y} | {rng.choice(crossing)})
-                    j_cands = rng.sample(js, min(2, len(js))) + [
-                        frozenset(rng.sample(traces, rng.randint(0, len(traces)))),
-                        frozenset(),
-                        j0 | {frozenset()},
-                        j0 | {frozenset("q")},
-                        # crosses y; a nonempty factor when y is the carrier
-                        j0 | {(traces[0] if traces else frozenset()) | {min(y)}},
-                    ]
-                    for k, j in [(k, j0) for k in k_cands] + [(k0, j) for j in j_cands]:
-                        calls += 1
-                        try:
-                            want = self._oracle(hsets, y, r, q, k, j)
-                        except BadFactorError as exc:
-                            rejected += 1
-                            with pytest.raises(BadFactorError) as got:
-                                continuation(h, y, k, j)
-                            assert str(got.value) == str(exc)
-                        else:
-                            assert continuation(h, y, k, j) == want
-        assert 0 < rejected < calls
+        check("continuation")
+        # one input of the sweep with both verdicts shows that it has both
+        assert abar() in tier("atomic")
+        outcomes = _outcomes(continuation, abar())
+        rejected = sum(isinstance(o, str) for o in outcomes)
+        assert 0 < rejected < len(outcomes)
 
     def test_projections_recover_factors(self):
         for h in all_asc_hypergraphs(4):

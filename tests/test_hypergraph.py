@@ -337,6 +337,36 @@ class TestFormats:
 
 
 # ---------------------------------------------------------------------------
+# round trips over multi-character atom names
+# ---------------------------------------------------------------------------
+
+@st.composite
+def named_hypergraphs(draw, names):
+    """One to five distinct atom names and up to eight distinct members."""
+    atoms = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    masks = draw(st.sets(st.integers(1, (1 << len(atoms)) - 1), min_size=1, max_size=8))
+    return Hypergraph.from_sets([a for i, a in enumerate(atoms) if m >> i & 1]
+                                for m in masks)
+
+
+# the compact format splits on "," and "#" and strips whitespace
+_TEXT_NAMES = st.text(min_size=1, max_size=4).filter(
+    lambda a: not any(c in ",#" or c.isspace() for c in a))
+
+
+@settings(deadline=None)
+@given(named_hypergraphs(_TEXT_NAMES))
+def test_text_round_trip_of_multi_character_names(h):
+    assert from_text(to_text(h)) == h
+
+
+@settings(deadline=None)
+@given(named_hypergraphs(st.text(min_size=1, max_size=4)))
+def test_json_round_trip_of_any_names(h):
+    assert from_json(to_json(h)) == h
+
+
+# ---------------------------------------------------------------------------
 # every parser fails only with a package error
 # ---------------------------------------------------------------------------
 

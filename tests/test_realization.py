@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +24,6 @@ from nestohedra import (
     vertex_coordinates,
 )
 from nestohedra import realization
-from nestohedra.constructions import _peel
 from nestohedra.errors import (
     DimensionMismatchError,
     NestohedraError,
@@ -38,20 +36,15 @@ from nestohedra.realization import to_json_dict
 
 from helpers import (
     L,
+    abar,
     all_asc_hypergraphs,
     frozen,
     graph,
+    kept_ids,
     oracle_constructions,
     oracle_coordinates,
-    oracle_faces,
     paper_a,
-    random_atomic,
-    reference_vertex_rows,
 )
-
-
-def abar():
-    return saturated_closure(paper_a())
 
 
 class TestVertexCoordinates:
@@ -94,30 +87,9 @@ class TestVertexCoordinates:
             assert len(seen) == len(enumerate_constructions(h))
 
 
-class TestCoordinatesMatchOracle:
-    """The child-level sweep against the parent-map oracle on every
-    construction, its member masks passed as the peel's unsorted
-    frozensets."""
-
-    @staticmethod
-    def assert_matches(h):
-        for k in _peel(h.members, False):
-            assert realization._coordinates(k, h.n_atoms) == \
-                oracle_coordinates(k, h.n_atoms), sorted(k)
-
-    def test_every_catalog_entry(self):
-        for e in catalog():
-            if is_atomic(e.hypergraph):
-                self.assert_matches(e.hypergraph)
-
-    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_graph_nestohedra(self, kind, n):
-        self.assert_matches(graph(kind, n))
-
-    @pytest.mark.parametrize("seed", range(200, 208))
-    def test_random_atomic_hypergraphs(self, seed):
-        self.assert_matches(random_atomic(random.Random(seed), 5 + seed % 2))
+class TestCoordinatesMatchOracle(kept_ids("coordinates")):
+    """The child-level sweep against the parent-map oracle (row
+    ``coordinates``)."""
 
     def test_two_roots_in_one_member(self):
         # {a} inside {a,b,c} leaves b and c both unfixed
@@ -218,62 +190,9 @@ class TestMembership:
             check_vertex_membership(abar(), (1, 2, 3))
 
 
-def assert_defining_equations(h):
-    """Every vertex sums to exactly 3**|X| over each member X of its
-    construction, block tops included, and to more over every other
-    member of the closure.  These equations fix the point, so they are
-    the oracle for the closed-form coordinates."""
-    hbar = saturated_closure(h)
-    rp = realize(h)
-    assert len(rp.vertices) == len(enumerate_constructions(h))
-    for fam, coords in rp.vertices:
-        for m in hbar.member_sets:
-            total = sum(coords[h.atoms.index(a)] for a in m)
-            if m in fam:
-                assert total == 3 ** len(m), (sorted(m), coords)
-            else:
-                assert total > 3 ** len(m), (sorted(m), coords)
-
-
-class TestDefiningEquations:
-    def test_every_catalog_entry(self):
-        for e in catalog():
-            if is_atomic(e.hypergraph):
-                assert_defining_equations(e.hypergraph)
-
-    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_graph_nestohedra(self, kind, n):
-        assert_defining_equations(graph(kind, n))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_atomic_hypergraphs(self, seed):
-        assert_defining_equations(random_atomic(random.Random(seed), 5 + seed % 2))
-
-
-class TestVertexOrder:
-    """Vertices and incidence rows against the deletion oracle sorted by
-    the member masks' ``mask_sort_key`` lists."""
-
-    @staticmethod
-    def assert_rows(h):
-        rp = realize(h)
-        got = [(fam, row) for (fam, _), row in zip(rp.vertices, rp.incidence)]
-        assert got == reference_vertex_rows(h)
-
-    def test_every_catalog_entry(self):
-        for e in catalog():
-            if is_atomic(e.hypergraph):
-                self.assert_rows(e.hypergraph)
-
-    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_graph_nestohedra(self, kind, n):
-        self.assert_rows(graph(kind, n))
-
-    @pytest.mark.parametrize("seed", range(100, 108))
-    def test_random_atomic_hypergraphs(self, seed):
-        self.assert_rows(random_atomic(random.Random(seed), 5 + seed % 2))
+# rows defining-equations and vertex-order
+TestDefiningEquations = kept_ids("defining-equations")
+TestVertexOrder = kept_ids("vertex-order")
 
 
 def _tight_roots(h):
@@ -379,35 +298,8 @@ class TestIsomorphism:
         assert face_lattice_isomorphic(paper_a()).ok
 
 
-class TestPowerSetOracle:
-    """The faces of ``face_map`` against every subset of every vertex's
-    incident facet supports, one bitmask per subset, rebuilt from the
-    incidence rows; each face maps to itself joined with the block
-    tops."""
-
-    @staticmethod
-    def assert_faces(h):
-        iso = face_lattice_isomorphic(h)
-        assert iso.ok, iso.mismatches
-        assert set(iso.face_map) == oracle_faces(realize(h))
-        hbar = saturated_closure(h)
-        tops = frozenset(h.atom_set(family_union(c))
-                         for c in family_components(hbar.members))
-        assert all(c == s | tops for s, c in iso.face_map.items())
-
-    def test_every_catalog_entry(self):
-        for e in catalog():
-            if is_atomic(e.hypergraph):
-                self.assert_faces(e.hypergraph)
-
-    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_graph_nestohedra(self, kind, n):
-        self.assert_faces(graph(kind, n))
-
-    @pytest.mark.parametrize("seed", range(300, 308))
-    def test_random_atomic_hypergraphs(self, seed):
-        self.assert_faces(random_atomic(random.Random(seed), 5 + seed % 2))
+# the doubling power set of face_lattice_isomorphic (row power-set)
+TestPowerSetOracle = kept_ids("power-set")
 
 
 def _flip_first_on_bit(rp):

@@ -1,16 +1,23 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nestohedra import (
     EMPTY,
     Hypergraph,
     enumerate_constructions,
     parse_s_construction,
+    saturated_closure,
     sterm_to_family,
     to_f_construction,
     to_s_construction,
 )
 from nestohedra.constructions import make_sum, Prefix, Sum, sterm_atoms
-from nestohedra.errors import RepeatedAtomError, STermSyntaxError, UnknownAtomError
+from nestohedra.errors import (
+    RepeatedAtomError,
+    STermSyntaxError,
+    UnknownAtomError,
+    WordAtomsError,
+)
 
 from helpers import L, M, N, all_atomic_hypergraphs, paper_a
 
@@ -119,6 +126,47 @@ class TestRoundTrips:
             for cons in enumerate_constructions(h):
                 term = to_s_construction(h, cons)
                 assert to_s_construction(h, sterm_to_family(term)) == term
+
+
+def _spellable(atoms):
+    """Words parse back exactly when no atom name holds a word symbol or
+    whitespace and none is a prefix of another."""
+    return not any(c in "+()" or c.isspace() for a in atoms for c in a) and \
+        not any(a != b and b.startswith(a) for a in atoms for b in atoms)
+
+
+class TestAtomNames:
+    def test_names_that_spell_one_word_twice(self):
+        # a+b and ab: two constructions would both print as "abab"
+        h = saturated_closure(Hypergraph.from_sets(
+            [["a"], ["b"], ["ab"], ["a", "b"], ["b", "ab"]]))
+        for cons in enumerate_constructions(h):
+            with pytest.raises(WordAtomsError, match=r"not prefix-free: \[\['a', 'ab'\]\]"):
+                to_s_construction(h, cons)
+
+    def test_names_holding_word_symbols(self):
+        h = Hypergraph.from_sets([["a"], ["+x"], ["a", "+x"]])
+        with pytest.raises(WordAtomsError, match=r"\['\+x'\]"):
+            to_s_construction(h, next(iter(enumerate_constructions(h))))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_word_round_trip_of_multi_character_names(self, data):
+        names = st.text("abcé", min_size=1, max_size=3) | st.text(
+            st.characters(max_codepoint=0x2FF), min_size=1, max_size=3)
+        atoms = data.draw(st.lists(names, min_size=1, max_size=5, unique=True))
+        bigger = data.draw(st.sets(st.integers(1, (1 << len(atoms)) - 1), max_size=4))
+        h = Hypergraph.from_sets([[a] for a in atoms] + [
+            [a for i, a in enumerate(atoms) if m >> i & 1] for m in bigger
+            if m & (m - 1)])
+        k = data.draw(st.sampled_from(sorted(enumerate_constructions(h),
+                                             key=lambda c: sorted(map(sorted, c)))))
+        if _spellable(atoms):
+            word = str(to_s_construction(h, k))
+            assert sterm_to_family(parse_s_construction(word, h)) == k
+        else:
+            with pytest.raises(WordAtomsError):
+                to_s_construction(h, k)
 
 
 class TestCanonicalForm:
