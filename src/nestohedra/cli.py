@@ -189,7 +189,7 @@ def _cmd_tubings(args) -> int:
     t0 = time.perf_counter()
     report = tubings_equal_constructs(g, cap=args.carrier_cap)
     dt = time.perf_counter() - t0
-    print(f"graph on {len(g.atoms)} vertices, {len(g)} members")
+    print(f"graph on {g.underlying.n_atoms} vertices, {len(g.underlying.members)} members")
     print(f"families checked: {report.families_checked} "
           f"(plus {report.pairs_checked} excluded pairs) in {dt:.2f}s")
     if report.ok:

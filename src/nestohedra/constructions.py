@@ -26,7 +26,7 @@ trees, each a root atom plus child trees), and prefix words with a
 commutative ``+``.  Forests and words are read in one sweep over the
 members by size; the parent map ``_forest`` is the tests' oracle forest.
 Words parse back only when no atom name holds ``+``, ``(``, ``)`` or
-whitespace and none is a prefix of another; ``to_s_construction`` and
+whitespace and none is a prefix of another; the printer, the parser and
 ``nestohedra enumerate`` refuse other names with ``WordAtomsError``.
 """
 
@@ -246,18 +246,16 @@ def enumerate_constructs(h: Hypergraph) -> frozenset[Family]:
 # ---------------------------------------------------------------------------
 
 def _masks_in(h: Hypergraph, m: Iterable[Iterable[str]],
-              members: frozenset[int]) -> list[int] | None:
-    """Masks of the sets of ``m`` over h's carrier, or None when some set
-    names an atom outside the carrier or is not in ``members``."""
-    out = []
-    for s in m:
-        try:
-            mask = h.mask(s)
-        except UnknownAtomError:
-            return None
-        if mask not in members:
-            return None
-        out.append(mask)
+              members: frozenset[int]) -> list[int] | str:
+    """Masks of the sets of ``m`` over h's carrier, or why they are not
+    all in ``members``: the ``UnknownAtomError`` text if a set names an
+    atom off the carrier, else "member outside the saturated closure"."""
+    try:
+        out = [h.mask(s) for s in m]
+    except UnknownAtomError as exc:
+        return str(exc)
+    if not members.issuperset(out):
+        return "member outside the saturated closure"
     return out
 
 
@@ -266,7 +264,7 @@ def is_construction(h: Hypergraph, m: Iterable[Iterable[str]]) -> bool:
     m is a subfamily of h of carrier size whose antichains all miss h."""
     _ensure_asc(h)
     masks = _masks_in(h, m, h.members)
-    if masks is None or len(set(masks)) != len(masks):
+    if isinstance(masks, str) or len(set(masks)) != len(masks):
         return False
     return _block_fault(h.members, h.carrier_mask, masks) is None
 
@@ -276,7 +274,7 @@ def is_construct(h: Hypergraph, m: Iterable[Iterable[str]]) -> bool:
     a subfamily containing the carrier whose antichains all miss h."""
     _ensure_asc(h)
     masks = _masks_in(h, m, h.members)
-    if masks is None:
+    if isinstance(masks, str):
         return False
     if h.carrier_mask not in masks and h.n_atoms > 0:
         return False
@@ -284,12 +282,11 @@ def is_construct(h: Hypergraph, m: Iterable[Iterable[str]]) -> bool:
 
 
 def _block_fault(members: frozenset[int], carrier: int, fam: Sequence[int]) -> str | None:
-    """Why the distinct masks ``fam`` are not a construction of the saturated
-    connected block ``members`` on ``carrier``; None when they are one."""
+    """Why ``fam``, distinct member masks of the block, is not a
+    construction of the saturated connected block ``members`` on
+    ``carrier``; None when it is one."""
     if len(fam) != carrier.bit_count():
         return "wrong member count inside a component"
-    if any(m not in members for m in fam):
-        return "member outside the saturated closure"
     if not antichains_all_miss(members, fam):
         return "an antichain union lands in the hypergraph"
     return None
@@ -331,28 +328,21 @@ def _construction_masks(h: Hypergraph, k: Iterable[Iterable[str]]) -> list[int]:
     """Masks of ``k`` after checking it really is a construction of ``h``.
 
     Works for every atomic hypergraph: each connected block of the
-    saturated closure must receive a block construction.
+    saturated closure must receive a block construction (a closure
+    member is connected, so it lies inside one block).
     """
     _ensure_atomic(h)
-    masks = []
-    for s in k:
-        try:
-            masks.append(h.mask(s))
-        except UnknownAtomError as exc:
-            raise NotAConstructionError(str(exc)) from exc
+    hbar = saturated_closure(h)
+    masks = _masks_in(h, k, hbar.members)
+    if isinstance(masks, str):
+        raise NotAConstructionError(masks)
     if len(set(masks)) != len(masks):
         raise NotAConstructionError("repeated members")
-    hbar = saturated_closure(h)
-    placed = 0
     for comp in family_components(hbar.members):
         cmask = family_union(comp)
-        kb = [m for m in masks if m & ~cmask == 0]
-        placed += len(kb)
-        fault = _block_fault(frozenset(comp), cmask, kb)
+        fault = _block_fault(frozenset(comp), cmask, [m for m in masks if m & ~cmask == 0])
         if fault:
             raise NotAConstructionError(fault)
-    if placed != len(masks):
-        raise NotAConstructionError("member crosses connected components")
     return masks
 
 
@@ -461,7 +451,7 @@ def sterm_to_family(t: STerm) -> Family:
 
 def _check_word_atoms(atoms: tuple[str, ...]) -> None:
     """Raise ``WordAtomsError`` when words over ``atoms`` may not parse
-    back.  Greedy longest-match parsing is exact when no name holds a
+    back.  Reading names greedily is exact when no name holds a
     word symbol and no name is a prefix of another (in sorted order a
     name's extensions follow it directly)."""
     bad = [a for a in atoms if any(c in "+()" or c.isspace() for c in a)]
@@ -499,8 +489,8 @@ def to_s_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> STerm:
 class _SParser:
     """Recursive descent for ``term := atom term? | '(' term ('+' term)* ')'``.
 
-    Atom names are matched longest-first against the carrier, so
-    multi-character atoms work whenever the match is unambiguous.
+    The caller has checked the atom names with ``_check_word_atoms``, so
+    they are prefix-free and at most one matches at any position.
     Redundant parentheses around a single summand are accepted (words
     inside sums are conventionally parenthesized when printed).
     """
@@ -508,7 +498,7 @@ class _SParser:
     def __init__(self, text: str, atoms: Sequence[str]):
         self.text = text
         self.pos = 0
-        self.atoms = sorted(atoms, key=len, reverse=True)
+        self.atoms = atoms
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -552,8 +542,9 @@ def parse_s_construction(text: str, h: Hypergraph) -> STerm:
     """Parse word text over the carrier of ``h`` into a canonical STerm.
 
     Purely syntactic: the result need not construct ``h``.  Whitespace
-    is not part of the grammar.
+    is not part of the grammar.  Refuses atom names as the printer does.
     """
+    _check_word_atoms(h.atoms)
     if any(c.isspace() for c in text):
         raise STermSyntaxError("whitespace is not allowed in terms")
     if text == "":

@@ -364,20 +364,20 @@ def continuation(h: Hypergraph, y: Iterable[str],
     _ensure_asc(h)
     ys = frozenset(y)
     found = _masks_in(h, [ys], h.members)
-    if found is None:
+    if isinstance(found, str):
         raise BadFactorError(f"{sorted(ys)} is not a member of the hypergraph")
     ymask, = found
     kf = frozenset(frozenset(s) for s in k)
     jf = frozenset(frozenset(s) for s in j)
     inside = frozenset(members_within(h.members, ymask))
     kmasks = _masks_in(h, kf, inside)
-    if kmasks is None or _block_fault(inside, ymask, kmasks):
+    if isinstance(kmasks, str) or _block_fault(inside, ymask, kmasks):
         raise BadFactorError("first factor is not a construction of the restriction")
     # when y is the carrier the trace is empty, with the empty construction
     rest = h.carrier_mask & ~ymask
     traces = frozenset(m & rest for m in h.members if m & rest)
     jmasks = _masks_in(h, jf, traces)
-    if jmasks is None or _block_fault(traces, rest, jmasks):
+    if isinstance(jmasks, str) or _block_fault(traces, rest, jmasks):
         raise BadFactorError("second factor is not a construction of the trace" if rest
                              else "second factor must be empty when y is the carrier")
     out = set(kmasks)

@@ -20,6 +20,8 @@ concatenated in carrier order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -152,21 +154,15 @@ def realize(h: Hypergraph) -> RealizedPolytope:
 
     facets = [m for m in canonical if m not in block_masks]
     specs = tuple(HyperplaneSpec(h.atom_set(m), 3 ** m.bit_count()) for m in facets)
-    holders: dict[int, list[int]] = {m: [] for m in facets}
-    for i, k in enumerate(cons):
-        for m in k:
-            if m in holders:
-                holders[m].append(i)
+    incidence = tuple(tuple(map(k.__contains__, facets)) for k in cons)
     cols = list(zip(*(coords for _, coords in vertices)))
-    for m, spec in zip(facets, specs):
+    for m, spec, holds in zip(facets, specs, zip(*incidence)):
         totals = list(map(sum, zip(*map(cols.__getitem__, bits_of(m)))))
         if min(totals) < spec.level:
             raise NestohedraError("internal error: vertex outside a halfspace")
-        if (totals.count(spec.level) != len(holders[m])
-                or any(totals[i] != spec.level for i in holders[m])):
+        if holds != tuple(map(eq, totals, repeat(spec.level))):
             raise NestohedraError(
                 "internal error: incidence disagrees with the construction")
-    incidence = tuple(tuple(map(k.__contains__, facets)) for k in cons)
     return RealizedPolytope(
         dimension=n - len(comps),
         atoms=h.atoms,

@@ -36,20 +36,10 @@ from .saturation import saturated_closure
 
 @dataclass(frozen=True)
 class GraphHypergraph:
-    """A hypergraph that is the saturated closure of a graph."""
+    """The saturated closure of a graph, as ``underlying``.  It adds
+    nothing, and stays only while ``perfbench/`` reads ``.underlying``."""
 
     underlying: Hypergraph
-
-    @property
-    def atoms(self):
-        return self.underlying.atoms
-
-    @property
-    def member_sets(self) -> Family:
-        return self.underlying.member_sets
-
-    def __len__(self):
-        return len(self.underlying.members)
 
 
 def as_graph(edges: Iterable[Iterable[str]], atoms: Iterable[str]) -> GraphHypergraph:
@@ -137,7 +127,7 @@ def is_tubing(g: GraphHypergraph, t: Iterable[Iterable[str]]) -> bool:
     containing the full vertex set, avoiding the whole loose partition."""
     h = g.underlying
     found = _masks_in(h, t, h.members)
-    if found is None:
+    if isinstance(found, str):
         raise NotTubesError("a tubing may only use members of the graph")
     return _is_tubing(h, sorted(set(found)))
 

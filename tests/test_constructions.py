@@ -16,6 +16,8 @@ from nestohedra import (
     saturated_closure,
     superficial_elements,
     to_f_construction,
+    to_s_construction,
+    vertex_coordinates,
 )
 from nestohedra.constructions import (
     _f_vector_and_rank,
@@ -150,6 +152,51 @@ class TestCallerFamilies:
             with pytest.raises(want[0]) as got:
                 pred(h, _FAMILIES[family])
             assert type(got.value) is want[0] and str(got.value) == want[1]
+
+
+# (hypergraph, caller family, exception type, message) for each way
+# ``_construction_masks`` rejects a family; the last row has two faults
+# and shows which check comes first
+_XY = Hypergraph.from_sets([{"x"}, {"y"}])
+_OUTSIDE = (NotAConstructionError, "member outside the saturated closure")
+_REJECTED = {
+    "unknown atom": (abar(), _FAMILIES["unknown atom"],
+                     NotAConstructionError, "unknown atom 'q'"),
+    "non-member": (abar(), _FAMILIES["non-member"], *_OUTSIDE),
+    "crosses blocks": (_XY, frozen("x", "y", "xy"), *_OUTSIDE),
+    "repeated member": (abar(), _FAMILIES["repeated set"],
+                        NotAConstructionError, "repeated members"),
+    "wrong count": (abar(), frozen("u", "zu", "xyzu"),
+                    NotAConstructionError, "wrong member count inside a component"),
+    "antichain union": (abar(), frozen("u", "z", "yzu", "xyzu"),
+                        NotAConstructionError, "an antichain union lands in the hypergraph"),
+    "non-member, wrong count": (abar(), frozen("u", "xu", "xyzu"), *_OUTSIDE),
+}
+
+
+def _fault_rows():
+    # vertex_coordinates needs an ASC hypergraph, so it rejects the
+    # two-block input up front, and it reads the family as a set, so a
+    # repeated member is no fault there (test_realization checks that)
+    for fn in (to_f_construction, to_s_construction, vertex_coordinates):
+        for row, (h, family, exc, message) in _REJECTED.items():
+            if fn is vertex_coordinates and row == "repeated member":
+                continue
+            if fn is vertex_coordinates and row == "crosses blocks":
+                exc, message = NotASCError, ("vertex coordinates need an atomic "
+                                             "saturated connected hypergraph")
+            yield pytest.param(fn, h, family, exc, message, id=f"{fn.__name__}-{row}")
+
+
+class TestConstructionFaults:
+    """Exception type and message of every rejection by the three public
+    functions that check a caller's construction."""
+
+    @pytest.mark.parametrize("fn, h, family, exc, message", _fault_rows())
+    def test_fault(self, fn, h, family, exc, message):
+        with pytest.raises(exc) as got:
+            fn(h, family)
+        assert type(got.value) is exc and str(got.value) == message
 
 
 class TestConstructs:

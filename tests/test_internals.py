@@ -33,6 +33,7 @@ from nestohedra.constructions import (
     _antichain_constructions,
     _block_fault,
     _fpoly,
+    _masks_in,
     _read_forest,
     antichains_all_miss,
 )
@@ -169,7 +170,7 @@ class TestInvariantsUnderOptimize:
     """Internal invariants raise ``NestohedraError``; an ``assert`` would
     vanish under ``python -O``."""
 
-    @pytest.mark.parametrize("fn", [_read_forest, _block_fault, _fpoly,
+    @pytest.mark.parametrize("fn", [_read_forest, _block_fault, _masks_in, _fpoly,
                                     _antichain_constructions, _coordinates, realize,
                                     face_lattice_isomorphic,
                                     FacePoset._from_families, abstract_polytope,

@@ -32,11 +32,11 @@ def path4():
 class TestAsGraph:
     def test_path3(self):
         g = as_graph([("x", "y"), ("y", "z")], "xyz")
-        assert g.member_sets == frozen("x", "y", "z", "xy", "yz", "xyz")
+        assert g.underlying.member_sets == frozen("x", "y", "z", "xy", "yz", "xyz")
 
     def test_single_vertex(self):
         g = as_graph([], ["x"])
-        assert g.member_sets == frozen("x")
+        assert g.underlying.member_sets == frozen("x")
 
     def test_path4_is_the_associahedron_closure(self):
         assert path4().underlying == saturated_closure(paper_a())
@@ -53,7 +53,7 @@ class TestAsGraph:
 
     def test_text_format(self):
         g = graph_from_text("# a path plus an isolated vertex\nx-y\ny-z\nw\n")
-        assert set(g.atoms) == set("wxyz")
+        assert set(g.underlying.atoms) == set("wxyz")
         loose, blocks = is_loose(g)
         assert loose and frozenset("w") in blocks
 
