@@ -4,7 +4,9 @@ Subcommands take either a catalog name (``H'_4321``; ASCII aliases
 ``Hp_4321`` etc. work) or a path to a hypergraph file (``.json`` for the
 JSON format, anything else for the compact one-member-per-line format).
 Output ordering is deterministic everywhere.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse errors.
+1 verification failure, 2 usage or parse errors.  A reader that closes
+standard output early (``nestohedra atlas | head -1``) ends the command
+quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -44,13 +46,9 @@ from .saturation import is_saturated, saturated_closure
 from .tubings import _check_cap, _parse_edges, as_graph, tubings_equal_constructs
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("NESTOHEDRA_COLOR", "") not in ("", "0")
-
-
 def _verdict(ok: bool) -> str:
     word = "PASS" if ok else "FAIL"
-    if _color_enabled():
+    if os.environ.get("NESTOHEDRA_COLOR", "") not in ("", "0"):
         code = "32" if ok else "31"
         return f"\x1b[{code}m{word}\x1b[0m"
     return word
@@ -257,13 +255,21 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left; nothing went wrong here
+        return 0
     except (NestohedraError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # keep the exit-time flush off the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ members.  ``abstract_polytope`` also writes the covers down in closed
 form, since its poset is the face lattice of a simple polytope.  Other
 posets (sections, hand-built ones) derive their down-sets by transposing
 the order and their covers from it.  No builder compares faces pairwise.
+Faces sort by rank, then label; each poset labels its faces once, at
+build, and its sections and exports read those labels.
 """
 
 from __future__ import annotations
@@ -76,6 +78,16 @@ def _labelled(faces: Iterable[Face]) -> list[tuple[str, list[tuple[str, ...]] | 
     return out
 
 
+def _by_rank_and_label(faces_ranks: Iterable[tuple[Face, int]]) -> tuple[list, list, list]:
+    """Faces, ranks and ``_labelled`` entries sorted by (rank, label);
+    ties keep their input order."""
+    items = list(faces_ranks)
+    labels = _labelled(f for f, _ in items)
+    order = sorted(range(len(items)), key=lambda i: (items[i][1], labels[i][0]))
+    return ([items[i][0] for i in order], [items[i][1] for i in order],
+            [labels[i] for i in order])
+
+
 class FacePoset:
     """A finite poset with declared integer ranks.
 
@@ -85,15 +97,18 @@ class FacePoset:
     cover bitmasks too; every other poset transposes ``_above`` here and
     computes its covers on first use.  The covers and the checkers'
     well-formedness verdict (``_fault``, empty when well-formed) are kept
-    once known.  Faces are hashable payloads, either ``BOTTOM`` or
-    construct families, but hand-built posets may use any hashable
-    labels.
+    once known.  ``_labels`` holds each face's ``_labelled`` entry, made
+    once: builders pass the labels they sorted by, else ``__init__``
+    labels the faces.  Faces are hashable payloads, either ``BOTTOM`` or
+    construct families, but hand-built posets may use any hashable labels.
     """
 
-    __slots__ = ("faces", "ranks", "_above", "_below", "_index", "_covers", "_fault")
+    __slots__ = ("faces", "ranks", "_above", "_below", "_index", "_covers", "_fault",
+                 "_labels")
 
     def __init__(self, faces: Sequence[Face], ranks: Sequence[int],
-                 above: Sequence[int], _below: Sequence[int] | None = None):
+                 above: Sequence[int], _below: Sequence[int] | None = None,
+                 _labels: Sequence[tuple] | None = None):
         self.faces = tuple(faces)
         self.ranks = tuple(ranks)
         self._above = tuple(above)
@@ -106,12 +121,13 @@ class FacePoset:
                     m ^= low
             _below = below
         self._below = tuple(_below)
+        self._labels = tuple(_labelled(self.faces) if _labels is None else _labels)
         self._covers: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._fault: str | None = None
         self._index = {}
         for i, f in enumerate(self.faces):
             if f in self._index:
-                raise NestohedraError(f"duplicate face {face_label(f)}")
+                raise NestohedraError(f"duplicate face {self._labels[i][0]}")
             self._index[f] = i
 
     # -- construction ---------------------------------------------------
@@ -124,11 +140,7 @@ class FacePoset:
         above face i exactly when j contains no member missing from i,
         and below it exactly when j contains every member of i.
         """
-        items = list(faces_ranks)
-        labels = _labelled(f for f, _ in items)
-        order = sorted(range(len(items)), key=lambda i: (items[i][1], labels[i][0]))
-        faces = [items[i][0] for i in order]
-        ranks = [items[i][1] for i in order]
+        faces, ranks, labels = _by_rank_and_label(faces_ranks)
         full = (1 << len(faces)) - 1
         non_bottom = full
         contains: dict[AtomSet, int] = {}
@@ -155,18 +167,16 @@ class FacePoset:
             for m in f:
                 inside &= contains[m]
             below.append(bottoms | inside)
-        return cls(faces, ranks, above, below)
+        return cls(faces, ranks, above, below, labels)
 
     @classmethod
     def from_covers(cls, faces_ranks: Iterable[tuple[Face, int]],
                     covers: Iterable[tuple[Face, Face]]) -> "FacePoset":
         """Build from covering pairs (lower, upper); the order is the
         reflexive transitive closure."""
-        items = sorted(faces_ranks, key=lambda fr: (fr[1], face_label(fr[0])))
-        faces = [f for f, _ in items]
-        ranks = [r for _, r in items]
+        faces, ranks, labels = _by_rank_and_label(faces_ranks)
         above = [1 << i for i in range(len(faces))]
-        index = cls(faces, ranks, above).index  # raises on faces not listed
+        index = cls(faces, ranks, above, None, labels).index  # raises on faces not listed
         pairs = [(index(a), index(b)) for a, b in covers]
         changed = True
         while changed:
@@ -176,7 +186,7 @@ class FacePoset:
                 if merged != above[a]:
                     above[a] = merged
                     changed = True
-        return cls(faces, ranks, above)
+        return cls(faces, ranks, above, None, labels)
 
     # -- queries ----------------------------------------------------------
 
@@ -198,13 +208,6 @@ class FacePoset:
 
     def faces_of_rank(self, k: int) -> tuple[Face, ...]:
         return tuple(f for f, r in zip(self.faces, self.ranks) if r == k)
-
-    def bottom(self) -> Face | None:
-        full = (1 << len(self.faces)) - 1
-        for i in range(len(self.faces)):
-            if self._above[i] == full:
-                return self.faces[i]
-        return None
 
     def top(self) -> Face | None:
         full = (1 << len(self.faces)) - 1
@@ -317,16 +320,6 @@ def join(p: FacePoset, c1: Face, c2: Face) -> Face:
     raise NestohedraError("faces have no join")
 
 
-def _poset_atoms(p: FacePoset) -> set[str]:
-    atoms: set[str] = set()
-    for f in p.faces:
-        if f is BOTTOM:
-            continue
-        for member in f:
-            atoms |= member
-    return atoms
-
-
 def otimes(*posets: FacePoset) -> FacePoset:
     """Product of construct posets over pairwise disjoint carriers.
 
@@ -337,7 +330,7 @@ def otimes(*posets: FacePoset) -> FacePoset:
         raise HypergraphError("otimes needs at least one poset")
     seen: set[str] = set()
     for p in posets:
-        atoms = _poset_atoms(p)
+        atoms = {a for f in p.faces if f is not BOTTOM for m in f for a in m}
         if atoms & seen:
             raise CarrierOverlapError(
                 f"carriers overlap on {sorted(atoms & seen)}")
@@ -412,11 +405,8 @@ def section(p: FacePoset, g: Face, f: Face) -> FacePoset:
 
 def _induced(p: FacePoset, keep: int, shift: int = 0) -> FacePoset:
     """The sub-order of ``p`` on the faces in the bitmask ``keep``, ranks
-    lowered by ``shift`` and faces re-sorted like every other builder."""
-    kept = list(bits_of(keep))
-    label = {i: text for i, (text, _) in
-             zip(kept, _labelled(p.faces[i] for i in kept))}
-    old = sorted(kept, key=lambda i: (p.ranks[i], label[i]))
+    lowered by ``shift`` and faces re-sorted by the parent's labels."""
+    old = sorted(bits_of(keep), key=lambda i: (p.ranks[i], p._labels[i][0]))
     new_of = {i: a for a, i in enumerate(old)}
     above = []
     for a, i in enumerate(old):
@@ -424,8 +414,8 @@ def _induced(p: FacePoset, keep: int, shift: int = 0) -> FacePoset:
         for j in bits_of(p._above[i] & keep):
             row |= 1 << new_of[j]
         above.append(row)
-    return FacePoset([p.faces[i] for i in old],
-                     [p.ranks[i] - shift for i in old], above)
+    return FacePoset([p.faces[i] for i in old], [p.ranks[i] - shift for i in old],
+                     above, None, [p._labels[i] for i in old])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +479,7 @@ def poset_isomorphic(p1: FacePoset, p2: FacePoset) -> bool:
 def to_dot(p: FacePoset) -> str:
     """Rank-layered Hasse diagram in DOT form."""
     lines = ["digraph face_poset {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, (label, _) in enumerate(_labelled(p.faces)):
+    for i, (label, _) in enumerate(p._labels):
         lines.append(f'  n{i} [label="{label}"];')
     for r in sorted(set(p.ranks)):
         same = " ".join(f"n{i};" for i, rr in enumerate(p.ranks) if rr == r)
@@ -502,7 +492,7 @@ def to_dot(p: FacePoset) -> str:
 
 def to_json_dict(p: FacePoset) -> dict:
     faces = []
-    for i, (label, members) in enumerate(_labelled(p.faces)):
+    for i, (label, members) in enumerate(p._labels):
         if members is not None:
             members = [list(m) for m in members]
         faces.append({"id": i, "rank": p.ranks[i], "label": label, "members": members})

@@ -172,6 +172,7 @@ def tubings_equal_constructs(g: GraphHypergraph, cap: int = 6) -> TubingEquivale
     """
     h = g.underlying
     _check_cap(h.n_atoms, cap)
+    _ensure_asc(h)
     members = sorted(h.members, key=mask_sort_key)
     others = [m for m in members if m != h.carrier_mask]
     n = len(others)
@@ -211,7 +212,6 @@ def tubings_equal_constructs(g: GraphHypergraph, cap: int = 6) -> TubingEquivale
                     return False
         return True
 
-    _ensure_asc(h)
     ok = walk(0, [])
     return TubingEquivalenceReport(ok=ok, counterexample=counterexample,
                                    pairs_checked=pairs_checked,

@@ -25,7 +25,7 @@ from nestohedra.constructions import (
     EMPTY, Prefix, _antichain_constructions, _block_fault, _f_vector_and_rank, _peel, _word,
     make_sum)
 from nestohedra.errors import BadFactorError, NestohedraError
-from nestohedra.facelattice import _induced
+from nestohedra.facelattice import _induced, _labelled
 from nestohedra.hypergraph import (
     Hypergraph, bits_of, family_components, family_is_connected, family_union, mask_sort_key,
     members_within, set_sort_key)
@@ -544,10 +544,10 @@ _poset = functools.lru_cache(maxsize=1)(abstract_polytope)
 
 def oracle_transposes(h):
     """Down-sets by the generic transpose of the order, covers by the
-    generic cover scan."""
+    generic cover scan, labels by labelling the faces afresh."""
     p = _poset(h)
     generic = FacePoset(p.faces, p.ranks, p._above)
-    return generic._below, generic._cover_masks()
+    return generic._below, generic._cover_masks(), tuple(_labelled(p.faces))
 
 
 @functools.cache
@@ -697,8 +697,8 @@ _ROWS = [
     Route("f-vector", _f_vector_and_rank, oracle_f_vector, ATOMIC),
     Route("pairwise-order", lambda h: (list((p := abstract_polytope(h)).faces), list(p.ranks),
                                        list(p._above)), oracle_poset, GEOMETRIC),
-    Route("build-time-shortcuts", lambda h: (_poset(h)._below, _poset(h)._covers),
-          oracle_transposes, ATOMIC),
+    Route("build-time-shortcuts", lambda h: (_poset(h)._below, _poset(h)._covers,
+                                             _poset(h)._labels), oracle_transposes, ATOMIC),
     Route("continuation", lambda h: _outcomes(continuation, h),
           lambda h: _outcomes(oracle_continuation, h), ("atomic",)),
     Route("coordinates", lambda h: [_coordinates(k, h.n_atoms) for k in _peel(h.members, False)],

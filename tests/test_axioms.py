@@ -82,6 +82,63 @@ class TestRejects:
                 assert rep.ok == (not rep.counterexamples)
 
 
+def _two_digons():
+    """Two digons (rank-2 polytopes on two vertices) sharing only their
+    least and greatest faces."""
+    faces = [("bot", -1), ("top", 2)]
+    covers = []
+    for d in "vw":
+        faces += [(d + "1", 0), (d + "2", 0), (d + "e", 1), (d + "f", 1)]
+        covers += [("bot", d + "1"), ("bot", d + "2")]
+        covers += [(d + v, d + e) for v in "12" for e in "ef"]
+        covers += [(d + "e", "top"), (d + "f", "top")]
+    return FacePoset.from_covers(faces, covers)
+
+
+class TestVerdicts:
+    """Checker verdicts on small hand-built posets, reports pinned whole."""
+
+    def test_face_below_the_bottom(self):
+        p = FacePoset.from_covers(
+            [("z", -2), ("bot", -1), ("a", 0), ("b", 0), ("top", 1)],
+            [("z", "bot"), ("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+        assert verify_inductive(p).to_dict() == {
+            "ok": False, "p1_ok": True, "p2_ok": False, "p3_ok": True, "p4_ok": True,
+            "rank": 1, "flags_checked": 0, "sections_checked": 2,
+            "counterexamples": [
+                {"property": "facet-coverage", "witnesses": ["z", "no facets"]},
+                {"property": "base-rank-minus-1", "witnesses": ["bot"]},
+                {"property": "base-rank-0", "witnesses": ["a"]},
+                {"property": "base-rank-0", "witnesses": ["b"]},
+            ]}
+
+    def test_rank_gap_under_the_top(self):
+        p = FacePoset.from_covers(
+            [("bot", -1), ("a", 0), ("b", 0), ("top", 2)],
+            [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+        assert verify_inductive(p).to_dict() == {
+            "ok": False, "p1_ok": True, "p2_ok": False, "p3_ok": True, "p4_ok": True,
+            "rank": 2, "flags_checked": 0, "sections_checked": 1,
+            "counterexamples": [
+                {"property": "facet-coverage", "witnesses": ["top", "no facets"]},
+            ]}
+
+    def test_two_digons_under_one_top(self):
+        p = _two_digons()
+        assert verify_inductive(p).to_dict() == {
+            "ok": False, "p1_ok": True, "p2_ok": True, "p3_ok": False, "p4_ok": True,
+            "rank": 2, "flags_checked": 0, "sections_checked": 5,
+            "counterexamples": [
+                {"property": "close-connectedness", "witnesses": ["top"]},
+            ]}
+        assert verify_axioms(p).to_dict() == {
+            "ok": False, "p1_ok": True, "p2_ok": True, "p3_ok": False, "p4_ok": True,
+            "rank": 2, "flags_checked": 8, "sections_checked": 1,
+            "counterexamples": [
+                {"property": "P3", "witnesses": ["bot", "top"]},
+            ]}
+
+
 class TestEquivalence:
     def test_checkers_agree_on_all_small_posets(self):
         seen = set()
@@ -178,6 +235,17 @@ class TestMalformed:
             [("bot", 0), ("a", 0)], [("bot", "a")])
         with pytest.raises(MalformedPosetError):
             verify_axioms(p)
+
+    @pytest.mark.parametrize("faces, ranks, above, fault", [
+        ("ab", [0, 1], [0b10, 0b10], "order is not reflexive"),
+        ("ab", [0, 1], [0b11, 0b11], "order is not antisymmetric"),
+        ("abc", [0, 1, 2], [0b011, 0b110, 0b100], "order is not transitive"),
+    ], ids=["reflexive", "antisymmetric", "transitive"])
+    def test_order_fault(self, faces, ranks, above, fault):
+        for check in (verify_axioms, verify_inductive):
+            with pytest.raises(MalformedPosetError) as err:
+                check(FacePoset(faces, ranks, above))
+            assert str(err.value) == fault
 
     @staticmethod
     def _count_scans(monkeypatch):

@@ -256,6 +256,14 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: words cannot be written") and named in err
 
+    @pytest.mark.parametrize("command", ["lattice", "verify-axioms", "verify"])
+    def test_non_atomic_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "h.hg"
+        path.write_text("a\na,b\n")
+        assert run([command, str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: constructs are defined for atomic hypergraphs\n")
+
     def test_usage_error(self):
         assert run(["frobnicate"]) == 2
 
@@ -279,10 +287,14 @@ class TestErrors:
 class TestModuleEntryPoint:
     """``python -m nestohedra.cli`` runs the same CLI as the script."""
 
-    def _run_module(self, *argv):
+    def _run_module(self, *argv, unbuffered=False, **streams):
         env = dict(os.environ, PYTHONPATH=str(Path(nestohedra.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        streams = streams or {"capture_output": True}
         return subprocess.run([sys.executable, "-m", "nestohedra.cli", *argv],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=env, text=True, timeout=120, **streams)
 
     def test_info(self):
         done = self._run_module("info", "H'_4321")
@@ -293,3 +305,18 @@ class TestModuleEntryPoint:
         done = self._run_module("info", str(tmp_path / "missing.hg"))
         assert done.returncode == 2
         assert "error:" in done.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["atlas"], ["verify", "H'_4321"]], ids=["atlas", "verify"])
+    def test_closed_stdout_exits_0_quietly(self, argv, unbuffered):
+        # the reader is gone before the command starts: a buffered run
+        # meets the closed pipe at the final flush, an unbuffered one at
+        # its first print
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = self._run_module(*argv, unbuffered=unbuffered,
+                                    stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, "")

@@ -1,5 +1,7 @@
 import collections
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -462,3 +464,16 @@ class TestExports:
         assert doc["faces"][0]["label"] == "F-1"
         assert doc["faces"][0]["members"] is None
         assert all(isinstance(c, list) and len(c) == 2 for c in doc["covers"])
+
+    def test_lattice_catalog_digest(self):
+        # DOT and JSON of every atomic catalog poset and of its sections
+        # from each face to the top, pinned byte for byte
+        digest = hashlib.sha256()
+        for h in tier("catalog"):
+            p = abstract_polytope(h)
+            top = p.top()
+            for s in [p] + [section(p, top, f) for f in p.faces]:
+                digest.update(to_dot(s).encode())
+                digest.update(json.dumps(to_json_dict(s)).encode())
+        assert digest.hexdigest() == (
+            "2156467a2692d69d95c0c869d47fbb9380467a829e8164d47a51326c08b2a7d2")

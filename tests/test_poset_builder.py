@@ -29,6 +29,7 @@ from nestohedra import (
     verify_axioms,
     verify_inductive,
 )
+from nestohedra import facelattice
 from nestohedra.facelattice import _induced, _labelled, to_dot, to_json_dict
 from nestohedra.hypergraph import set_sort_key
 
@@ -98,9 +99,10 @@ class TestDerivedPosets:
 # ---------------------------------------------------------------------------
 
 def assert_down_sets(p):
-    """The down-sets a builder wrote down equal the generic transpose of
-    its order."""
+    """The down-sets and labels a builder wrote down equal the generic
+    transpose of its order and a fresh labelling of its faces."""
     assert p._below == FacePoset(p.faces, p.ranks, p._above)._below
+    assert p._labels == tuple(_labelled(p.faces))
 
 
 class TestBuildTimeShortcuts(kept_ids("build-time-shortcuts")):
@@ -118,6 +120,55 @@ class TestBuildTimeShortcuts(kept_ids("build-time-shortcuts")):
         a, b = abstract_polytope(graph("path", 3)), abstract_polytope(
             Hypergraph.from_sets([{"x"}, {"y"}, {"z"}, {"x", "y"}]))
         assert_down_sets(otimes(a, b))
+
+
+class TestLabelledOnce:
+    """Each poset labels its faces once, where its builder sorts them;
+    sections and exports read the kept table."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        labelled = facelattice._labelled
+        monkeypatch.setattr(facelattice, "_labelled",
+                            lambda faces: seen.append(1) or labelled(faces))
+        return seen
+
+    def test_build_exports_and_sections(self, calls):
+        for h in (paper_a(), graph("cycle", 4), Hypergraph.from_sets([])):
+            p = abstract_polytope(h)
+            to_dot(p)
+            to_json_dict(p)
+            top = p.top()
+            for f in p.faces:
+                s = section(p, top, f)
+                to_dot(s)
+                to_json_dict(s)
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_from_covers(self, calls):
+        for build in (diamond_poset, lambda: FacePoset.from_covers([("bot", -1)], [])):
+            p = build()
+            to_dot(p)
+            to_json_dict(p)
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_section_of_an_unsorted_hand_built_poset(self):
+        # the public constructor keeps its faces' order; a section sorts
+        # the faces it keeps by (rank, label) and keeps their labels
+        p = FacePoset(["top", "b", "a", "bot"], [1, 0, 0, -1], [0b0001, 0b0011, 0b0101, 0b1111])
+        s = section(p, "top", "bot")
+        assert list(s.faces) == ["bot", "a", "b", "top"]
+        assert s._labels == tuple(_labelled(s.faces))
+
+    def test_from_covers_keeps_input_order_on_tied_labels(self):
+        for payloads in ([1, "1"], ["1", 1]):
+            p = FacePoset.from_covers([(x, 0) for x in payloads] + [("bot", -1)],
+                                      [("bot", x) for x in payloads])
+            assert list(p.faces) == ["bot", *payloads]
+            assert [label for label, _ in p._labels] == ["bot", "1", "1"]
 
 
 def _reference_label(face):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from nestohedra import (
+    GraphHypergraph,
     Hypergraph,
     as_graph,
     catalog_lookup,
@@ -19,6 +20,7 @@ from nestohedra.errors import (
     BadEdgeError,
     CarrierTooLargeError,
     EmptyCarrierError,
+    NotASCError,
     NotTubesError,
 )
 
@@ -136,6 +138,17 @@ class TestEquivalence:
             tubings_equal_constructs(as_graph([], atoms))
         # a raised cap admits the same graph
         assert tubings_equal_constructs(as_graph([], atoms), cap=7).ok
+
+    def test_unsaturated_input_is_refused_before_the_pair_walk(self):
+        # the path a-b-c without its member {a,b,c}: the pair {a,b}, {b,c}
+        # overlaps with no union member, which the pair walk would report
+        # as an internal error
+        g = GraphHypergraph(Hypergraph.from_sets(
+            [{"a"}, {"b"}, {"c"}, {"a", "b"}, {"b", "c"}]))
+        with pytest.raises(NotASCError) as err:
+            tubings_equal_constructs(g)
+        assert type(err.value) is NotASCError
+        assert str(err.value) == "operation needs an atomic saturated connected hypergraph"
 
     def test_tubing_families_are_exactly_constructs(self):
         # explicit cross-listing on a small graph
