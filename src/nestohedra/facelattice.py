@@ -3,22 +3,26 @@
 The faces are the constructs ordered by reverse inclusion, below a
 distinguished bottom face.  The bottom is a sentinel variant rather than
 a family with an extra marker element, so it can never collide with a
-construct.  The poset stores the full order relation as per-face
-bitmasks; covers, sections and the lattice operations derive from it.
+construct.  The poset stores its order as sparse rows: per face, the
+sorted tuple of the indices of the faces above it, and the transpose of
+those rows below it; covers, sections and the lattice operations read
+the rows.
 
-Construct posets are built from one bitset per member, the faces that
-contain it: the faces above a construct are those holding none of the
-members it lacks, and the faces below it those holding all of its
-members.  ``abstract_polytope`` also writes the covers down in closed
-form, since its poset is the face lattice of a simple polytope.  Other
-posets (sections, hand-built ones) derive their down-sets by transposing
-the order and their covers from it.  No builder compares faces pairwise.
-Faces sort by rank, then label; each poset labels its faces once, at
-build, and its sections and exports read those labels.
+A nestohedron is a simple polytope, so the faces above a construct C
+are exactly the subfamilies of C that keep its b block carriers,
+2^(|C| - b) of them.  The family builder numbers the members and lists
+each face's row in closed form, as the submasks of its members beyond
+those every face holds; ``abstract_polytope`` reads its covers off the
+rows, as the faces one rank up.  Other posets (sections, hand-built
+ones) derive their down-sets by transposing the rows and their covers by
+a generic scan.  No builder compares faces pairwise.  Faces sort by
+rank, then label; each poset labels its faces once, at build, and its
+sections and exports read those labels.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -26,12 +30,12 @@ from .errors import (
     BadFactorError,
     CarrierOverlapError,
     HypergraphError,
+    MalformedPosetError,
     NestohedraError,
     NotComparableError,
     NotFacetError,
 )
-from .hypergraph import (AtomSet, Family, Hypergraph, bits_of, members_within,
-                         set_sort_key)
+from .hypergraph import AtomSet, Family, Hypergraph, members_within, set_sort_key
 from .constructions import _block_fault, _ensure_asc, _masks_in, enumerate_constructs
 
 
@@ -88,18 +92,25 @@ def _by_rank_and_label(faces_ranks: Iterable[tuple[Face, int]]) -> tuple[list, l
             [labels[i] for i in order])
 
 
+Row = tuple[int, ...]
+
+
 class FacePoset:
     """A finite poset with declared integer ranks.
 
-    ``_above[i]`` is the bitmask of faces j with face_i <= face_j
-    (including i); ``_below`` is its transpose.  Construct posets get
-    ``_below`` from their builder and, from ``abstract_polytope``, their
-    cover bitmasks too; every other poset transposes ``_above`` here and
-    computes its covers on first use.  The covers and the checkers'
-    well-formedness verdict (``_fault``, empty when well-formed) are kept
-    once known.  ``_labels`` holds each face's ``_labelled`` entry, made
-    once: builders pass the labels they sorted by, else ``__init__``
-    labels the faces.  Faces are hashable payloads, either ``BOTTOM`` or
+    ``_above[i]`` is the sorted tuple of the indices j with face_i <=
+    face_j (i included); ``_below`` is its transpose.  The public
+    constructor takes one rank and one row of face indices per face, in
+    any order, and raises ``MalformedPosetError`` on a count that does
+    not match the faces or a row naming an unknown face or one face
+    twice; the builders hand over sorted rows.  ``_covers`` (per face,
+    the sorted indices of the faces covering it and of those it covers)
+    comes closed-form from ``abstract_polytope`` and from a generic scan
+    of the rows otherwise; it and the checkers' well-formedness verdict
+    (``_fault``, empty when well-formed) are kept once known.
+    ``_labels`` holds each face's ``_labelled`` entry, made once:
+    builders pass the labels they sorted by, else the constructor labels
+    the faces.  Faces are hashable payloads, either ``BOTTOM`` or
     construct families, but hand-built posets may use any hashable labels.
     """
 
@@ -107,22 +118,45 @@ class FacePoset:
                  "_labels")
 
     def __init__(self, faces: Sequence[Face], ranks: Sequence[int],
-                 above: Sequence[int], _below: Sequence[int] | None = None,
-                 _labels: Sequence[tuple] | None = None):
+                 above: Iterable[Iterable[int]]):
+        faces, ranks, rows = tuple(faces), tuple(ranks), list(above)
+        n = len(faces)
+        if not len(ranks) == len(rows) == n:
+            raise MalformedPosetError(
+                f"{n} faces need one rank and one row each: got {len(ranks)} ranks "
+                f"and {len(rows)} rows")
+        for i, row in enumerate(rows):
+            try:
+                rows[i] = row = tuple(sorted(row))
+            except TypeError:
+                raise MalformedPosetError(
+                    f"row {i} is not a collection of face indices") from None
+            if not all(isinstance(j, int) for j in row):
+                raise MalformedPosetError(f"row {i} is not a collection of face indices")
+            if row and (row[0] < 0 or row[-1] >= n):
+                bad = row[0] if row[0] < 0 else row[-1]
+                raise MalformedPosetError(f"row {i} names face {bad}, not one of the {n} faces")
+            if len(set(row)) != len(row):
+                twice = next(a for a, b in zip(row, row[1:]) if a == b)
+                raise MalformedPosetError(f"row {i} names face {twice} twice")
+        self._fill(faces, ranks, rows, None)
+
+    @classmethod
+    def _built(cls, faces: Sequence[Face], ranks: Sequence[int], above: Sequence[Row],
+               labels: Sequence[tuple]) -> "FacePoset":
+        """A poset on rows a builder made sorted and in range."""
+        p = cls.__new__(cls)
+        p._fill(faces, ranks, above, labels)
+        return p
+
+    def _fill(self, faces: Sequence[Face], ranks: Sequence[int], above: Sequence[Row],
+              labels: Sequence[tuple] | None) -> None:
         self.faces = tuple(faces)
         self.ranks = tuple(ranks)
         self._above = tuple(above)
-        if _below is None:
-            below = [0] * len(self.faces)
-            for i, m in enumerate(self._above):
-                while m:
-                    low = m & -m
-                    below[low.bit_length() - 1] |= 1 << i
-                    m ^= low
-            _below = below
-        self._below = tuple(_below)
-        self._labels = tuple(_labelled(self.faces) if _labels is None else _labels)
-        self._covers: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._below = _transpose(self._above)
+        self._labels = tuple(_labelled(self.faces) if labels is None else labels)
+        self._covers: tuple[tuple[Row, ...], tuple[Row, ...]] | None = None
         self._fault: str | None = None
         self._index = {}
         for i, f in enumerate(self.faces):
@@ -136,38 +170,18 @@ class FacePoset:
     def _from_families(cls, faces_ranks: Iterable[tuple[Face, int]]) -> "FacePoset":
         """Reverse inclusion on construct families, with ``BOTTOM`` least.
 
-        Each member gets the bitset of faces containing it; face j lies
-        above face i exactly when j contains no member missing from i,
-        and below it exactly when j contains every member of i.
+        Each member gets one bit and each face the mask of its members.
+        Every face holds the members all faces share, so the faces above
+        a face are those whose masks join the shared members with a
+        submask of its other members.  On construct posets and their
+        products every such mask is a face; other families raise
+        ``NestohedraError``.
         """
         faces, ranks, labels = _by_rank_and_label(faces_ranks)
-        full = (1 << len(faces)) - 1
-        non_bottom = full
-        contains: dict[AtomSet, int] = {}
-        for i, f in enumerate(faces):
-            if f is BOTTOM:
-                non_bottom &= ~(1 << i)
-                continue
-            for m in f:
-                contains[m] = contains.get(m, 0) | 1 << i
-        bottoms = full & ~non_bottom
-        above = []
-        below = []
-        for i, f in enumerate(faces):
-            if f is BOTTOM:
-                above.append(full)
-                below.append(1 << i)
-                continue
-            excluded = 0
-            for m, holders in contains.items():
-                if m not in f:
-                    excluded |= holders
-            above.append(non_bottom & ~excluded)
-            inside = non_bottom
-            for m in f:
-                inside &= contains[m]
-            below.append(bottoms | inside)
-        return cls(faces, ranks, above, below, labels)
+        members = frozenset().union(*(f for f in faces if f is not BOTTOM))
+        bit = {m: 1 << k for k, m in enumerate(members)}
+        keys = [None if f is BOTTOM else sum(map(bit.__getitem__, f)) for f in faces]
+        return cls._built(faces, ranks, _up_rows(keys), labels)
 
     @classmethod
     def from_covers(cls, faces_ranks: Iterable[tuple[Face, int]],
@@ -175,18 +189,21 @@ class FacePoset:
         """Build from covering pairs (lower, upper); the order is the
         reflexive transitive closure."""
         faces, ranks, labels = _by_rank_and_label(faces_ranks)
-        above = [1 << i for i in range(len(faces))]
-        index = cls(faces, ranks, above, None, labels).index  # raises on faces not listed
-        pairs = [(index(a), index(b)) for a, b in covers]
-        changed = True
-        while changed:
-            changed = False
-            for a, b in pairs:
-                merged = above[a] | above[b]
-                if merged != above[a]:
-                    above[a] = merged
-                    changed = True
-        return cls(faces, ranks, above, None, labels)
+        n = len(faces)
+        index = cls._built(faces, ranks, [(i,) for i in range(n)], labels).index
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for a, b in [(index(a), index(b)) for a, b in covers]:  # raises on faces not listed
+            succ[a].append(b)
+        above = []
+        for i in range(n):
+            seen, todo = {i}, [i]
+            while todo:
+                for j in succ[todo.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        todo.append(j)
+            above.append(tuple(sorted(seen)))
+        return cls._built(faces, ranks, above, labels)
 
     # -- queries ----------------------------------------------------------
 
@@ -200,7 +217,8 @@ class FacePoset:
             raise NestohedraError(f"not a face: {face_label(face)}") from None
 
     def leq(self, f: Face, g: Face) -> bool:
-        return bool(self._above[self.index(f)] >> self.index(g) & 1)
+        i, j = self.index(f), self.index(g)
+        return j in self._above[i]
 
     @property
     def rank(self) -> int:
@@ -210,38 +228,30 @@ class FacePoset:
         return tuple(f for f, r in zip(self.faces, self.ranks) if r == k)
 
     def top(self) -> Face | None:
-        full = (1 << len(self.faces)) - 1
-        for i in range(len(self.faces)):
-            if self._below[i] == full:
+        n = len(self.faces)
+        for i in range(n):
+            if len(self._below[i]) == n:
                 return self.faces[i]
         return None
 
-    def _cover_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per face, the bitmask of the faces covering it (up) and of the
-        faces it covers (down)."""
+    def _cover_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+        """Per face, the sorted indices of the faces covering it (up) and
+        of the faces it covers (down)."""
         if self._covers is None:
-            n = len(self.faces)
-            up = [0] * n
-            down = [0] * n
-            for i in range(n):
-                for j in bits_of(self._above[i] & ~(1 << i)):
-                    if self._above[i] & self._below[j] == (1 << i) | (1 << j):
-                        up[i] |= 1 << j
-                        down[j] |= 1 << i
-            self._covers = (tuple(up), tuple(down))
+            self._covers = _cover_scan(self._above)
         return self._covers
 
     def covers(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) with j covering i, in ascending order."""
-        up, _ = self._cover_masks()
-        return [(i, j) for i, ups in enumerate(up) for j in bits_of(ups)]
+        up, _ = self._cover_rows()
+        return [(i, j) for i, ups in enumerate(up) for j in ups]
 
     def iter_pairs(self) -> Iterator[tuple[int, int]]:
         """All strict pairs i < j in the order (by index)."""
-        for i in range(len(self.faces)):
-            ups = self._above[i] & ~(1 << i)
-            for j in bits_of(ups):
-                yield i, j
+        for i, row in enumerate(self._above):
+            for j in row:
+                if j != i:
+                    yield i, j
 
     # -- value semantics ---------------------------------------------------
 
@@ -259,6 +269,60 @@ class FacePoset:
 
     def __repr__(self) -> str:
         return f"FacePoset({len(self.faces)} faces, rank {self.rank})"
+
+
+def _transpose(rows: Sequence[Row]) -> tuple[Row, ...]:
+    """Per index j, the sorted indices i whose row holds j."""
+    out: list[list[int]] = [[] for _ in rows]
+    add = [o.append for o in out]
+    for i, row in enumerate(rows):
+        for j in row:
+            add[j](i)
+    return tuple(map(tuple, out))
+
+
+def _up_rows(keys: Sequence[int | None]) -> list[Row]:
+    """Per face key (its member mask, None for the bottom), the sorted
+    indices of the faces above it under reverse inclusion: the keys that
+    join the members all faces share with a submask of its other
+    members.  A face's row is the row of the face one member smaller,
+    plus each of those faces with that member put back, so every such
+    submask must be a face, as on construct posets; faces are visited
+    by member count."""
+    index = {key: i for i, key in enumerate(keys) if key is not None}
+    shared = -1
+    for key in index:
+        shared &= key
+    rows: list[Row] = [tuple(range(len(keys)))] * len(keys)  # the bottom's row
+    try:
+        for key in sorted(index, key=int.bit_count):
+            i = index[key]
+            free = key & ~shared
+            low = free & -free
+            if not low:
+                rows[i] = (i,)
+                continue
+            smaller = rows[index[key ^ low]]
+            rows[i] = tuple(sorted([*smaller, *[index[keys[j] | low] for j in smaller]]))
+    except KeyError:
+        raise NestohedraError("the faces are not closed under subfamilies that keep "
+                              "the members all faces share") from None
+    return rows
+
+
+def _cover_scan(above: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+    """Up- and down-cover rows of the order with up-set rows ``above``:
+    j covers i when i and j alone lie both above i and below j, that is
+    when both are reflexive and j lies strictly above nothing else in
+    i's row."""
+    reflexive = [i in row for i, row in enumerate(above)]
+    strict = [tuple(j for j in row if j != i) for i, row in enumerate(above)]
+    up = []
+    for i, row in enumerate(strict):
+        blocked = set().union(*(strict[k] for k in row))
+        up.append(tuple(j for j in row if reflexive[j] and j not in blocked)
+                  if reflexive[i] else ())
+    return tuple(up), _transpose(up)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +346,11 @@ def abstract_polytope(h: Hypergraph) -> FacePoset:
     faces_ranks: list[tuple[Face, int]] = [(BOTTOM, -1)]
     faces_ranks += [(c, n - len(c)) for c in constructs]
     p = FacePoset._from_families(faces_ranks)
-    at_rank: dict[int, int] = {}
-    for i, r in enumerate(p.ranks):
-        at_rank[r] = at_rank.get(r, 0) | 1 << i
-    p._covers = (tuple(a & at_rank.get(r + 1, 0) for a, r in zip(p._above, p.ranks)),
-                 tuple(b & at_rank.get(r - 1, 0) for b, r in zip(p._below, p.ranks)))
+    # faces sort by rank, so each row's faces one rank up are one slice
+    start = {r: bisect_left(p.ranks, r) for r in range(-1, p.rank + 3)}
+    up = tuple(row[bisect_left(row, start[r + 1]):bisect_left(row, start[r + 2])]
+               for row, r in zip(p._above, p.ranks))
+    p._covers = (up, _transpose(up))
     return p
 
 
@@ -303,9 +367,9 @@ def meet(p: FacePoset, c1: Face, c2: Face) -> Face:
     """Greatest lower bound; on construct posets this is the union when
     the union is a construct, and the bottom face otherwise."""
     i, j = p.index(c1), p.index(c2)
-    common = p._below[i] & p._below[j]
-    for k in sorted(bits_of(common), key=lambda x: -p.ranks[x]):
-        if common & ~p._below[k] == 0:
+    common = sorted(set(p._below[i]).intersection(p._below[j]))
+    for k in sorted(common, key=lambda x: -p.ranks[x]):
+        if set(p._below[k]).issuperset(common):
             return p.faces[k]
     raise NestohedraError("faces have no meet")
 
@@ -313,9 +377,9 @@ def meet(p: FacePoset, c1: Face, c2: Face) -> Face:
 def join(p: FacePoset, c1: Face, c2: Face) -> Face:
     """Least upper bound; on construct posets this is the intersection."""
     i, j = p.index(c1), p.index(c2)
-    common = p._above[i] & p._above[j]
-    for k in sorted(bits_of(common), key=lambda x: p.ranks[x]):
-        if common & ~p._above[k] == 0:
+    common = sorted(set(p._above[i]).intersection(p._above[j]))
+    for k in sorted(common, key=lambda x: p.ranks[x]):
+        if set(p._above[k]).issuperset(common):
             return p.faces[k]
     raise NestohedraError("faces have no join")
 
@@ -398,24 +462,20 @@ def facet_section(h: Hypergraph, y: Iterable[str]) -> FacePoset:
 def section(p: FacePoset, g: Face, f: Face) -> FacePoset:
     """Induced poset between ``f`` and ``g``, reranked to start at -1."""
     fi, gi = p.index(f), p.index(g)
-    if not p._above[fi] >> gi & 1:
+    if gi not in p._above[fi]:
         raise NotComparableError("section endpoints are not comparable")
-    return _induced(p, p._above[fi] & p._below[gi], p.ranks[fi] + 1)
+    return _induced(p, set(p._above[fi]).intersection(p._below[gi]), p.ranks[fi] + 1)
 
 
-def _induced(p: FacePoset, keep: int, shift: int = 0) -> FacePoset:
-    """The sub-order of ``p`` on the faces in the bitmask ``keep``, ranks
-    lowered by ``shift`` and faces re-sorted by the parent's labels."""
-    old = sorted(bits_of(keep), key=lambda i: (p.ranks[i], p._labels[i][0]))
+def _induced(p: FacePoset, keep: Iterable[int], shift: int = 0) -> FacePoset:
+    """The sub-order of ``p`` on the faces whose indices are in ``keep``,
+    ranks lowered by ``shift`` and faces re-sorted by the parent's labels."""
+    old = sorted(keep, key=lambda i: (p.ranks[i], p._labels[i][0], i))
     new_of = {i: a for a, i in enumerate(old)}
-    above = []
-    for a, i in enumerate(old):
-        row = 1 << a
-        for j in bits_of(p._above[i] & keep):
-            row |= 1 << new_of[j]
-        above.append(row)
-    return FacePoset([p.faces[i] for i in old], [p.ranks[i] - shift for i in old],
-                     above, None, [p._labels[i] for i in old])
+    above = [tuple(sorted({a}.union(new_of[j] for j in p._above[i] if j in new_of)))
+             for a, i in enumerate(old)]
+    return FacePoset._built([p.faces[i] for i in old], [p.ranks[i] - shift for i in old],
+                            above, [p._labels[i] for i in old])
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +490,12 @@ def poset_isomorphic(p1: FacePoset, p2: FacePoset) -> bool:
         return False
 
     def signatures(p: FacePoset) -> list:
-        up, down = p._cover_masks()
+        up, down = p._cover_rows()
         sig = list(p.ranks)
         for _ in range(3):
-            sig = [hash((sig[i],
-                         tuple(sorted(sig[j] for j in bits_of(up[i]))),
-                         tuple(sorted(sig[j] for j in bits_of(down[i])))))
+            get = sig.__getitem__
+            sig = [hash((sig[i], tuple(sorted(map(get, up[i]))),
+                         tuple(sorted(map(get, down[i])))))
                    for i in range(len(p.faces))]
         return sig
 
@@ -446,12 +506,14 @@ def poset_isomorphic(p1: FacePoset, p2: FacePoset) -> bool:
     order = sorted(range(n), key=lambda i: len(cands[i]))
     assigned: dict[int, int] = {}
     used: set[int] = set()
+    rows1 = [frozenset(row) for row in p1._above]
+    rows2 = [frozenset(row) for row in p2._above]
 
     def fits(i: int, j: int) -> bool:
         for a, b in assigned.items():
-            if (p1._above[i] >> a & 1) != (p2._above[j] >> b & 1):
+            if (a in rows1[i]) != (b in rows2[j]):
                 return False
-            if (p1._above[a] >> i & 1) != (p2._above[b] >> j & 1):
+            if (i in rows1[a]) != (j in rows2[b]):
                 return False
         return True
 

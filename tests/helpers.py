@@ -25,7 +25,7 @@ from nestohedra.constructions import (
     EMPTY, Prefix, _antichain_constructions, _block_fault, _f_vector_and_rank, _peel, _word,
     make_sum)
 from nestohedra.errors import BadFactorError, NestohedraError
-from nestohedra.facelattice import _induced, _labelled
+from nestohedra.facelattice import _by_rank_and_label, _induced, _labelled
 from nestohedra.hypergraph import (
     Hypergraph, bits_of, family_components, family_is_connected, family_union, mask_sort_key,
     members_within, set_sort_key)
@@ -359,7 +359,8 @@ def _graph_connected(verts, edges) -> bool:
 
 def _delete_face(p: FacePoset, face) -> FacePoset:
     """The sub-order induced on every face but ``face``."""
-    return _induced(p, ((1 << len(p.faces)) - 1) & ~(1 << p.index(face)))
+    drop = p.index(face)
+    return _induced(p, [i for i in range(len(p.faces)) if i != drop])
 
 
 def negative_posets() -> list[tuple[str, FacePoset]]:
@@ -513,7 +514,7 @@ def _reverse_inclusion(a, b):
 
 
 def pairwise_order(faces_ranks, leq=_reverse_inclusion):
-    """Faces sorted by rank and label, their ranks and up-set bitmasks,
+    """Faces sorted by rank and label, their ranks and up-set rows,
     from one ``leq`` test per ordered pair of faces (a construct lies
     below every construct it contains, the bottom below everything).
     Under reverse inclusion a face contains no other face of its own or
@@ -522,11 +523,11 @@ def pairwise_order(faces_ranks, leq=_reverse_inclusion):
     items = sorted(faces_ranks, key=lambda fr: (fr[1], face_label(fr[0])))
     faces = [f for f, _ in items]
     ranks = [r for _, r in items]
-    bits = [1 << j for j in range(len(faces))]
     above = []
     for i, f in enumerate(faces):
         start = bisect_right(ranks, ranks[i]) if leq is _reverse_inclusion else 0
-        above.append(bits[i] | sum(compress(bits[start:], map(leq, repeat(f), faces[start:]))))
+        ups = compress(range(start, len(faces)), map(leq, repeat(f), faces[start:]))
+        above.append(tuple(sorted({i, *ups})))
     return faces, ranks, above
 
 
@@ -547,7 +548,51 @@ def oracle_transposes(h):
     generic cover scan, labels by labelling the faces afresh."""
     p = _poset(h)
     generic = FacePoset(p.faces, p.ranks, p._above)
-    return generic._below, generic._cover_masks(), tuple(_labelled(p.faces))
+    return generic._below, generic._cover_rows(), tuple(_labelled(p.faces))
+
+
+def oracle_dense_order(faces_ranks):
+    """The dense builder the sparse rows replaced: faces sorted by rank
+    and label, their ranks, one up-set and one down-set bitmask per face
+    and the labels.  Each member gets the bitset of faces containing it;
+    face j lies above face i exactly when j contains no member missing
+    from i, and below it exactly when j contains every member of i."""
+    faces, ranks, labels = _by_rank_and_label(faces_ranks)
+    full = (1 << len(faces)) - 1
+    non_bottom = full
+    contains = {}
+    for i, f in enumerate(faces):
+        if f is BOTTOM:
+            non_bottom &= ~(1 << i)
+            continue
+        for m in f:
+            contains[m] = contains.get(m, 0) | 1 << i
+    bottoms = full & ~non_bottom
+    above = []
+    below = []
+    for i, f in enumerate(faces):
+        if f is BOTTOM:
+            above.append(full)
+            below.append(1 << i)
+            continue
+        excluded = 0
+        for m, holders in contains.items():
+            if m not in f:
+                excluded |= holders
+        above.append(non_bottom & ~excluded)
+        inside = non_bottom
+        for m in f:
+            inside &= contains[m]
+        below.append(bottoms | inside)
+    return faces, ranks, above, below, labels
+
+
+def _dense_rows(h):
+    """``oracle_dense_order`` on the constructs, its bitmasks read as
+    sorted index tuples."""
+    faces, ranks, above, below, labels = oracle_dense_order(construct_faces(h))
+    return (faces, ranks, tuple(tuple(bits_of(m)) for m in above),
+            tuple(tuple(bits_of(m)) for m in below), tuple(labels))
 
 
 @functools.cache
@@ -697,6 +742,8 @@ _ROWS = [
     Route("f-vector", _f_vector_and_rank, oracle_f_vector, ATOMIC),
     Route("pairwise-order", lambda h: (list((p := abstract_polytope(h)).faces), list(p.ranks),
                                        list(p._above)), oracle_poset, GEOMETRIC),
+    Route("dense-order", lambda h: (list((p := _poset(h)).faces), list(p.ranks), p._above,
+                                    p._below, p._labels), _dense_rows, ATOMIC),
     Route("build-time-shortcuts", lambda h: (_poset(h)._below, _poset(h)._covers,
                                              _poset(h)._labels), oracle_transposes, ATOMIC),
     Route("continuation", lambda h: _outcomes(continuation, h),

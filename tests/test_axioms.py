@@ -237,15 +237,36 @@ class TestMalformed:
             verify_axioms(p)
 
     @pytest.mark.parametrize("faces, ranks, above, fault", [
-        ("ab", [0, 1], [0b10, 0b10], "order is not reflexive"),
-        ("ab", [0, 1], [0b11, 0b11], "order is not antisymmetric"),
-        ("abc", [0, 1, 2], [0b011, 0b110, 0b100], "order is not transitive"),
-    ], ids=["reflexive", "antisymmetric", "transitive"])
+        ("ab", [0, 1], [(1,), (1,)], "order is not reflexive"),
+        ("ab", [0, 1], [(0, 1), (0, 1)], "order is not antisymmetric"),
+        ("abc", [0, 1, 2], [(0, 1), (1, 2), (2,)], "order is not transitive"),
+        ("ab", [1, 0], [(0, 1), (1,)], "rank does not increase from a to b"),
+    ], ids=["reflexive", "antisymmetric", "transitive", "rank"])
     def test_order_fault(self, faces, ranks, above, fault):
         for check in (verify_axioms, verify_inductive):
             with pytest.raises(MalformedPosetError) as err:
                 check(FacePoset(faces, ranks, above))
             assert str(err.value) == fault
+
+    @pytest.mark.parametrize("ranks, above, fault", [
+        ([0, 1], [(0, 2), (1,)], "row 0 names face 2, not one of the 2 faces"),
+        ([0, 1], [(0,), (-1, 1)], "row 1 names face -1, not one of the 2 faces"),
+        ([0, 1], [(0, 1, 1), (1,)], "row 0 names face 1 twice"),
+        ([0], [(0, 1), (1,)], "2 faces need one rank and one row each: got 1 ranks and 2 rows"),
+        ([0, 1], [(0, 1)], "2 faces need one rank and one row each: got 2 ranks and 1 rows"),
+        ([0, 1], [0b101, 0b10], "row 0 is not a collection of face indices"),
+        ([0, 1], [(0, 1), ("b",)], "row 1 is not a collection of face indices"),
+    ], ids=["out-of-range", "negative", "duplicate", "ranks-count", "rows-count",
+            "int-row", "name-in-row"])
+    def test_constructor_refuses_malformed_rows(self, ranks, above, fault):
+        with pytest.raises(MalformedPosetError) as err:
+            FacePoset(["a", "b"], ranks, above)
+        assert type(err.value) is MalformedPosetError
+        assert str(err.value) == fault
+
+    def test_constructor_sorts_rows(self):
+        p = FacePoset(["a", "b"], [0, 1], [[1, 0], {1}])
+        assert p._above == ((0, 1), (1,)) and p._below == ((0,), (0, 1))
 
     @staticmethod
     def _count_scans(monkeypatch):

@@ -40,8 +40,8 @@ from nestohedra.errors import (
 from nestohedra.constructions import _f_vector_and_rank
 from nestohedra.facelattice import to_dot, to_json_dict
 
-from helpers import (L, M, N, _outcomes, abar, all_asc_hypergraphs, check, frozen,
-                     graph, paper_a, tier)
+from helpers import (L, M, N, _outcomes, abar, all_asc_hypergraphs, check, diamond_poset,
+                     frozen, graph, paper_a, tier)
 
 
 ALPHA = frozenset("xyzu")
@@ -219,6 +219,12 @@ class TestOtimes:
     def test_no_posets(self):
         with pytest.raises(HypergraphError, match="at least one poset"):
             otimes()
+
+    def test_factor_not_closed_under_subfamilies(self):
+        # the diamond's string payloads read as families of letters: "top"
+        # holds {t, o, p}, but no face is {t, o}
+        with pytest.raises(NestohedraError, match="^the faces are not closed under subfamilies"):
+            otimes(diamond_poset())
 
     def test_matches_component_product(self):
         import helpers

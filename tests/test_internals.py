@@ -37,6 +37,8 @@ from nestohedra.constructions import (
     _read_forest,
     antichains_all_miss,
 )
+from nestohedra.axioms import _disconnected_sections
+from nestohedra.facelattice import _cover_scan, _up_rows
 from nestohedra.realization import _coordinates
 from nestohedra.hypergraph import family_components
 
@@ -174,6 +176,7 @@ class TestInvariantsUnderOptimize:
                                     _antichain_constructions, _coordinates, realize,
                                     face_lattice_isomorphic,
                                     FacePoset._from_families, abstract_polytope,
+                                    _up_rows, _cover_scan, _disconnected_sections,
                                     verify_axioms, tubings_equal_constructs])
     def test_no_assert_statements(self, fn):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))

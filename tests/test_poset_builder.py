@@ -1,4 +1,4 @@
-"""The bitset face-poset builder and the axiom checkers against the
+"""The sparse face-poset builder and the axiom checkers against the
 pairwise definitions they replace.
 
 ``helpers.pairwise_order`` is the O(F²) reference: one order test per
@@ -8,7 +8,7 @@ of a higher rank.  That pruning assumes what ``construct_faces`` states
 and the library's builder also relies on: a construct c has rank
 n - |c|, so the constructs strictly inside c, the ones above it, all
 have a higher rank.  It is a test oracle only; the library builds the
-order from member bitsets.
+order as submasks over a numbering of the members.
 """
 
 import random
@@ -31,9 +31,10 @@ from nestohedra import (
 )
 from nestohedra import facelattice
 from nestohedra.facelattice import _induced, _labelled, to_dot, to_json_dict
-from nestohedra.hypergraph import set_sort_key
+from nestohedra.constructions import _fpoly
+from nestohedra.hypergraph import family_components, set_sort_key
 
-from helpers import (_reverse_inclusion, all_asc_hypergraphs, all_atomic_hypergraphs,
+from helpers import (KINDS, _reverse_inclusion, all_asc_hypergraphs, all_atomic_hypergraphs,
                      check, construct_faces, diamond_poset, graph, negative_posets,
                      kept_ids, paper_a, pairwise_order)
 
@@ -76,11 +77,11 @@ class TestDerivedPosets:
         for p in (abstract_polytope(paper_a()), abstract_polytope(graph("cycle", 4))):
             for fi in range(len(p.faces)):
                 for gi in range(len(p.faces)):
-                    if not p._above[fi] >> gi & 1:
+                    if gi not in p._above[fi]:
                         continue
                     shift = p.ranks[fi] + 1
                     keep = [i for i in range(len(p.faces))
-                            if p._above[fi] >> i & 1 and p._above[i] >> gi & 1]
+                            if i in p._above[fi] and gi in p._above[i]]
                     faces = [(p.faces[i], p.ranks[i] - shift) for i in keep]
                     got = section(p, p.faces[gi], p.faces[fi])
                     assert_matches(got, faces, p.leq)
@@ -90,8 +91,23 @@ class TestDerivedPosets:
             for drop in range(len(p.faces)):
                 keep = [i for i in range(len(p.faces)) if i != drop]
                 faces = [(p.faces[i], p.ranks[i]) for i in keep]
-                got = _induced(p, ((1 << len(p.faces)) - 1) & ~(1 << drop))
+                got = _induced(p, keep)
                 assert_matches(got, faces, p.leq)
+
+
+def test_order_pairs_follow_the_construct_counts():
+    # the faces above a construct with c members are its 2^(c - b)
+    # subfamilies that keep the b block carriers, so the rows hold the
+    # construct-count polynomial at q = 2 plus the bottom's F entries;
+    # the counts come from the peeling recursion, not from the builder
+    inputs = [e.hypergraph for e in catalog() if is_atomic(e.hypergraph)]
+    inputs += [graph(kind, n) for kind in KINDS for n in range(1, 7)] + [graph("path", 7)]
+    for h in dict.fromkeys(inputs):
+        p = abstract_polytope(h)
+        counts = _fpoly(h.members)
+        b = len(family_components(h.members))
+        assert sum(map(len, p._above)) == len(p) + sum(
+            k << (c - b) for c, k in enumerate(counts) if k), h
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +174,7 @@ class TestLabelledOnce:
     def test_section_of_an_unsorted_hand_built_poset(self):
         # the public constructor keeps its faces' order; a section sorts
         # the faces it keeps by (rank, label) and keeps their labels
-        p = FacePoset(["top", "b", "a", "bot"], [1, 0, 0, -1], [0b0001, 0b0011, 0b0101, 0b1111])
+        p = FacePoset(["top", "b", "a", "bot"], [1, 0, 0, -1], [(0,), (0, 1), (0, 2), (0, 1, 2, 3)])
         s = section(p, "top", "bot")
         assert list(s.faces) == ["bot", "a", "b", "top"]
         assert s._labels == tuple(_labelled(s.faces))
@@ -352,7 +368,7 @@ def _walked_flags(p):
     ups = [[] for _ in p.faces]
     for a, b in p.covers():
         ups[a].append(b)
-    minimals = [i for i in range(len(p.faces)) if p._below[i] == 1 << i]
+    minimals = [i for i in range(len(p.faces)) if p._below[i] == (i,)]
     count, first_bad = 0, None
     stack = [(i, 1) for i in minimals]
     while stack:
@@ -372,17 +388,17 @@ def _disconnected_sections(p):
     out = []
     for f in range(len(p.faces)):
         for g in range(len(p.faces)):
-            if not p._above[f] >> g & 1 or p.ranks[g] - p.ranks[f] < 3:
+            if g not in p._above[f] or p.ranks[g] - p.ranks[f] < 3:
                 continue
-            nodes = p._above[f] & p._below[g] & ~(1 << f) & ~(1 << g)
-            if nodes.bit_count() <= 1:
+            nodes = set(p._above[f]) & set(p._below[g]) - {f, g}
+            if len(nodes) <= 1:
                 continue
-            reached = nodes & -nodes
+            reached = {min(nodes)}
             while True:
-                grow = reached
+                grow = set(reached)
                 for u in range(len(p.faces)):
-                    if reached >> u & 1:
-                        grow |= (p._above[u] | p._below[u]) & nodes
+                    if u in reached:
+                        grow |= (set(p._above[u]) | set(p._below[u])) & nodes
                 if grow == reached:
                     break
                 reached = grow
