@@ -232,13 +232,18 @@ def _f_vector_and_rank(h: Hypergraph) -> tuple[tuple[int, ...], int]:
     return tuple(counts[n - k] for k in range(rank)), rank
 
 
+def _construct_masks(h: Hypergraph) -> frozenset[frozenset[int]]:
+    """The constructs of an atomic hypergraph as member masks."""
+    if not is_atomic(h):
+        raise NotAtomicError("constructs are defined for atomic hypergraphs")
+    return _peel(h.members, True)
+
+
 def enumerate_constructs(h: Hypergraph) -> frozenset[Family]:
     """All subfamilies of constructions keeping every connected component,
     each read once off the peeling recursion: a block's carrier on top
     of a construct of the members missing a nonempty set of its atoms."""
-    if not is_atomic(h):
-        raise NotAtomicError("constructs are defined for atomic hypergraphs")
-    return frozenset(h.family(c) for c in _peel(h.members, True))
+    return frozenset(map(h.family, _construct_masks(h)))
 
 
 # ---------------------------------------------------------------------------

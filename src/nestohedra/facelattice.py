@@ -4,20 +4,25 @@ The faces are the constructs ordered by reverse inclusion, below a
 distinguished bottom face.  The bottom is a sentinel variant rather than
 a family with an extra marker element, so it can never collide with a
 construct.  The poset stores its order as sparse rows: per face, the
-sorted tuple of the indices of the faces above it, and the transpose of
-those rows below it; covers, sections and the lattice operations read
-the rows.
+sorted tuple of the indices of the faces above it; the transpose of
+those rows, the faces below, is made on first read.  Covers, sections
+and the lattice operations read the rows.
 
 A nestohedron is a simple polytope, so the faces above a construct C
 are exactly the subfamilies of C that keep its b block carriers,
-2^(|C| - b) of them.  The family builder numbers the members and lists
+2^(|C| - b) of them.  The builders give each member one bit and list
 each face's row in closed form, as the submasks of its members beyond
 those every face holds; ``abstract_polytope`` reads its covers off the
-rows, as the faces one rank up.  Other posets (sections, hand-built
-ones) derive their down-sets by transposing the rows and their covers by
-a generic scan.  No builder compares faces pairwise.  Faces sort by
-rank, then label; each poset labels its faces once, at build, and its
-sections and exports read those labels.
+rows, as the faces one rank up.  Other posets (sections, products,
+hand-built ones) get their covers by a generic scan.  No builder
+compares faces pairwise.
+
+Faces sort by rank, then label; each poset labels its faces once, at
+build, and its sections and exports read those labels.
+``abstract_polytope`` takes its faces as member masks straight off the
+peeling recursion and joins each label from per-member texts made once
+per build; ``_labelled`` labels only the products of ``otimes``, the
+posets of ``from_covers`` and hand-built posets.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
     NotFacetError,
 )
 from .hypergraph import AtomSet, Family, Hypergraph, members_within, set_sort_key
-from .constructions import _block_fault, _ensure_asc, _masks_in, enumerate_constructs
+from .constructions import _block_fault, _construct_masks, _ensure_asc, _masks_in
 
 
 class _Bottom:
@@ -99,22 +104,24 @@ class FacePoset:
     """A finite poset with declared integer ranks.
 
     ``_above[i]`` is the sorted tuple of the indices j with face_i <=
-    face_j (i included); ``_below`` is its transpose.  The public
-    constructor takes one rank and one row of face indices per face, in
-    any order, and raises ``MalformedPosetError`` on a count that does
-    not match the faces or a row naming an unknown face or one face
-    twice; the builders hand over sorted rows.  ``_covers`` (per face,
+    face_j (i included); ``_below`` is its transpose, made on first
+    read (the exports, ``otimes`` and ``poset_isomorphic`` never read
+    it).  The public constructor takes one rank and one row of face
+    indices per face, in any order, and raises ``MalformedPosetError``
+    on a count that does not match the faces or a row naming an unknown
+    face or one face twice; the builders hand over sorted rows.  ``_covers`` (per face,
     the sorted indices of the faces covering it and of those it covers)
     comes closed-form from ``abstract_polytope`` and from a generic scan
     of the rows otherwise; it and the checkers' well-formedness verdict
     (``_fault``, empty when well-formed) are kept once known.
-    ``_labels`` holds each face's ``_labelled`` entry, made once:
-    builders pass the labels they sorted by, else the constructor labels
-    the faces.  Faces are hashable payloads, either ``BOTTOM`` or
-    construct families, but hand-built posets may use any hashable labels.
+    ``_labels`` holds each face's label and member atom tuples (a
+    ``_labelled`` entry), made once: builders pass the labels they
+    sorted by, else the constructor labels the faces.  Faces are
+    hashable payloads, either ``BOTTOM`` or construct families, but
+    hand-built posets may use any hashable labels.
     """
 
-    __slots__ = ("faces", "ranks", "_above", "_below", "_index", "_covers", "_fault",
+    __slots__ = ("faces", "ranks", "_above", "_down", "_index", "_covers", "_fault",
                  "_labels")
 
     def __init__(self, faces: Sequence[Face], ranks: Sequence[int],
@@ -154,7 +161,7 @@ class FacePoset:
         self.faces = tuple(faces)
         self.ranks = tuple(ranks)
         self._above = tuple(above)
-        self._below = _transpose(self._above)
+        self._down: tuple[Row, ...] | None = None
         self._labels = tuple(_labelled(self.faces) if labels is None else labels)
         self._covers: tuple[tuple[Row, ...], tuple[Row, ...]] | None = None
         self._fault: str | None = None
@@ -163,6 +170,12 @@ class FacePoset:
             if f in self._index:
                 raise NestohedraError(f"duplicate face {self._labels[i][0]}")
             self._index[f] = i
+
+    @property
+    def _below(self) -> tuple[Row, ...]:
+        if self._down is None:
+            self._down = _transpose(self._above)
+        return self._down
 
     # -- construction ---------------------------------------------------
 
@@ -229,8 +242,8 @@ class FacePoset:
 
     def top(self) -> Face | None:
         n = len(self.faces)
-        for i in range(n):
-            if len(self._below[i]) == n:
+        for i, row in enumerate(self._below):
+            if len(row) == n:
                 return self.faces[i]
         return None
 
@@ -336,16 +349,40 @@ def abstract_polytope(h: Hypergraph) -> FacePoset:
     rank -1 and the set of connected components of the carrier sits on
     top at rank |carrier| - (number of components).
 
+    The faces come off the peeling recursion as member masks.  The
+    members that occur are numbered once in label order
+    (``set_sort_key``), each with its printed text and atom tuple, so a
+    face's label joins its members' texts in numbering order and its key
+    for ``_up_rows`` sets their bits; each face family is built once,
+    after the faces are sorted by (rank, label).
+
     The covers come in closed form: the faces covering a construct C are
     C minus one member outside the top face, and the faces covering the
     bottom are the constructions.  Both are exactly the faces one rank
     up in the order, so each face covers the faces one rank down below it.
     """
-    constructs = enumerate_constructs(h)
+    constructs = _construct_masks(h)
     n = h.n_atoms
-    faces_ranks: list[tuple[Face, int]] = [(BOTTOM, -1)]
-    faces_ranks += [(c, n - len(c)) for c in constructs]
-    p = FacePoset._from_families(faces_ranks)
+    named = sorted((set_sort_key(h.atom_set(m)), m) for m in frozenset().union(*constructs))
+    position = {m: k for k, (_, m) in enumerate(named)}
+    bit = [1 << k for k in range(len(named))]
+    atoms = [key[1] for key, _ in named]
+    texts = ["{%s}" % ",".join(key[1]) for key, _ in named]
+    # labels are distinct, so the sort never compares two constructs
+    order = []
+    for c in constructs:
+        at = sorted(map(position.__getitem__, c))
+        order.append((n - len(c), "{%s}" % ",".join(map(texts.__getitem__, at)), c))
+    order.sort()
+    faces: list[Face] = [BOTTOM]
+    ranks, keys, labels = [-1], [None], [("F-1", None)]
+    for rank, label, c in order:
+        at = sorted(map(position.__getitem__, c))
+        faces.append(h.family(c))
+        ranks.append(rank)
+        keys.append(sum(map(bit.__getitem__, at)))
+        labels.append((label, list(map(atoms.__getitem__, at))))
+    p = FacePoset._built(faces, ranks, _up_rows(keys), labels)
     # faces sort by rank, so each row's faces one rank up are one slice
     start = {r: bisect_left(p.ranks, r) for r in range(-1, p.rank + 3)}
     up = tuple(row[bisect_left(row, start[r + 1]):bisect_left(row, start[r + 2])]

@@ -10,10 +10,12 @@ The canonical member order (``mask_sort_key``, ``set_sort_key``) and
 the member ``census`` by size are defined here for every other module.
 
 All values are immutable after construction and safe to share.  Each
-hypergraph names a mask's atoms once: ``atom_set`` interns the
-frozenset per mask and keeps it for the hypergraph's lifetime, so every
-family read off the same hypergraph shares one object (and one cached
-hash) per member.
+hypergraph names a mask's atoms once, in its atom-set table: a dict
+from mask to frozenset that builds and keeps a missing mask's frozenset
+on first lookup.  ``atom_set`` and ``family`` both read the table, so
+every family read off the same hypergraph shares one object (and one
+cached hash) per member, and ``family`` costs one C-level dict lookup
+per member.
 """
 
 from __future__ import annotations
@@ -109,11 +111,28 @@ def set_sort_key(s: AtomSet) -> tuple[int, tuple[str, ...]]:
 # the Hypergraph value
 # ---------------------------------------------------------------------------
 
+class _AtomSets(dict):
+    """Mask -> the frozenset of its atom names, built and kept on the
+    first lookup of a mask."""
+
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: Carrier):
+        super().__init__()
+        self.atoms = atoms
+
+    def __missing__(self, mask: int) -> AtomSet:
+        s = self[mask] = frozenset(self.atoms[i] for i in bits_of(mask))
+        return s
+
+
 class Hypergraph:
     """Immutable hypergraph; ``members`` are bitmasks over ``atoms``.
 
     ``atoms`` is always stored sorted, so equal carriers index equally
-    and hypergraph equality is plain field equality.
+    and hypergraph equality is plain field equality.  Copies and
+    pickles rebuild from the two fields, so a copy has its own atom-set
+    table and a hash computed in the process that reads it.
     """
 
     __slots__ = ("atoms", "members", "_index", "_hash", "_sets")
@@ -123,7 +142,10 @@ class Hypergraph:
         self.members: frozenset[int] = frozenset(member_masks)
         self._index = {a: i for i, a in enumerate(self.atoms)}
         self._hash = None
-        self._sets: dict[int, AtomSet] = {}
+        self._sets = _AtomSets(self.atoms)
+
+    def __reduce__(self):
+        return (type(self), (self.atoms, self.members))
 
     @classmethod
     def from_sets(cls, members: Iterable[Iterable[str]],
@@ -192,13 +214,12 @@ class Hypergraph:
         """The atom names of ``mask``, interned: built on the first call
         and returned as the same object for the hypergraph's lifetime
         (safe to share, being immutable)."""
-        s = self._sets.get(mask)
-        if s is None:
-            s = self._sets[mask] = frozenset(self.atoms[i] for i in bits_of(mask))
-        return s
+        return self._sets[mask]
 
     def family(self, masks: Iterable[int]) -> Family:
-        return frozenset(map(self.atom_set, masks))
+        """The member family of ``masks``, each member interned as by
+        ``atom_set``."""
+        return frozenset(map(self._sets.__getitem__, masks))
 
     @property
     def member_sets(self) -> Family:

@@ -129,10 +129,13 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     """Realize an atomic hypergraph through its saturated closure.
 
     Vertices are in bijection with the constructions, ordered by their
-    members' canonical ranks; a vertex lies on the hyperplane of X
-    exactly when X belongs to its construction.  Coordinates come from
-    the child-level sweep, which needs the members of each construction
-    to be pairwise nested or disjoint.  The vertex sums over each facet's
+    members' canonical ranks (the sorted rank lists, compared
+    lexicographically), read as one integer key per construction: the
+    sum of 2**(last rank - rank) over its members, descending, which
+    orders alike since every construction has n members.  A vertex lies
+    on the hyperplane of X exactly when X belongs to its construction.
+    Coordinates come from the child-level sweep, which needs the members
+    of each construction to be pairwise nested or disjoint.  The vertex sums over each facet's
     support are then computed for all vertices at once from the
     transposed coordinates, and the facets are checked in canonical
     order: no sum is below the level, and the vertices on the
@@ -145,9 +148,15 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     comps = family_components(hbar.members)
     block_masks = [family_union(c) for c in comps]
     canonical = hbar.canonical_masks()
-    rank = {m: i for i, m in enumerate(canonical)}
-    # h peels like its closure: both have the same connected subsets
-    cons = sorted(_peel(h.members, False), key=lambda k: sorted(map(rank.__getitem__, k)))
+    last = len(canonical) - 1
+    weight = {m: 1 << (last - i) for i, m in enumerate(canonical)}
+    # h peels like its closure: both have the same connected subsets.
+    # Every construction has exactly n members, one per root atom, so
+    # comparing two by their sorted canonical ranks is asking which one
+    # holds the lowest rank in which they differ: the one with the
+    # larger weight sum
+    cons = sorted(_peel(h.members, False), key=lambda k: sum(map(weight.__getitem__, k)),
+                  reverse=True)
     vertices = [(h.family(k), _coordinates(k, n)) for k in cons]
     if len({coords for _, coords in vertices}) != len(vertices):
         raise NestohedraError("internal error: coordinate collision")

@@ -11,6 +11,7 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
+from math import comb
 from typing import Callable, Iterable
 
 import pytest
@@ -509,6 +510,54 @@ def oracle_f_vector(h):
     return f_vector(p), p.rank
 
 
+def _simplex(m):
+    """Nonempty faces of the m-simplex by dimension, the top included."""
+    return [comb(m + 1, k + 1) for k in range(m + 1)]
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@functools.cache
+def _truncations(members):
+    """Nonempty faces by dimension, the top included, of the nestohedron
+    of a connected building set (its carrier a member): the simplex on
+    the carrier, truncated at each larger member in decreasing size.
+    When X is added only singletons lie inside it, so the face cut off
+    is a point times the nestohedron of the contraction of the members
+    added so far onto the atoms outside X, of codimension |X|, and
+    truncating a face G of codimension c in a simple polytope replaces
+    the faces of G with those of G x (c - 1)-simplex."""
+    carrier = family_union(members)
+    faces = _simplex(carrier.bit_count() - 1)
+    added = [m for m in members if m == carrier or m.bit_count() == 1]
+    for x in sorted(members - set(added), key=mask_sort_key, reverse=True):
+        contraction = frozenset(y & ~x for y in added if y & ~x)
+        cut = _simplex(x.bit_count() - 1)
+        cut[0] -= 1
+        grown = _times(_truncations(contraction), cut)
+        faces = [a + b for a, b in itertools.zip_longest(faces, grown, fillvalue=0)]
+        added.append(x)
+    return faces
+
+
+def oracle_truncation_fvector(h):
+    """``_f_vector_and_rank`` by successive truncations (Postnikov,
+    "Permutohedra, associahedra, and beyond", section 7): per block of
+    the closure, the simplex truncated at the larger members; a
+    disconnected input is the product of its blocks."""
+    faces = [1]
+    for block in family_components(saturated_closure(h).members):
+        faces = _times(faces, _truncations(block))
+    rank = len(faces) - 1
+    return tuple(faces[:rank]), rank
+
+
 def _reverse_inclusion(a, b):
     return a is BOTTOM or (b is not BOTTOM and b <= a)
 
@@ -740,6 +789,7 @@ _ROWS = [
     Route("bare-kernel", bare_kernel, oracle_bare_kernel, ALL, 7),
     Route("dispensable-subsets", dispensable_subsets, oracle_dispensable_subsets, ALL, 7),
     Route("f-vector", _f_vector_and_rank, oracle_f_vector, ATOMIC),
+    Route("truncation-f-vector", _f_vector_and_rank, oracle_truncation_fvector, ATOMIC),
     Route("pairwise-order", lambda h: (list((p := abstract_polytope(h)).faces), list(p.ranks),
                                        list(p._above)), oracle_poset, GEOMETRIC),
     Route("dense-order", lambda h: (list((p := _poset(h)).faces), list(p.ranks), p._above,

@@ -437,6 +437,19 @@ class TestClosedForms:
     def test_complete_construct_total_from_construct_counts(self, n):
         assert sum(_fpoly(graph("complete", n).members)) == FUBINI[n - 1]
 
+    def test_truncation_f_vector_beyond_the_poset(self):
+        # up to 12 atoms, where no face poset fits; the disjoint unions
+        # check the product over blocks
+        def disjoint(g, h):
+            return Hypergraph.from_sets([*g.member_sets,
+                                         *({a + "'" for a in s} for s in h.member_sets)])
+
+        hs = [graph(kind, n) for kind, top in (("path", 12), ("cycle", 12), ("complete", 9),
+                                                ("star", 9)) for n in range(1, top + 1)]
+        hs += [disjoint(graph("path", 6), graph("star", 5)),
+               disjoint(graph("cycle", 5), graph("complete", 4))]
+        check("truncation-f-vector", hs)
+
     def test_associahedron_h_vector_is_narayana(self):
         assert _h_vector(_f_vector(graph("path", 7))) == [1, 21, 105, 175, 105, 21, 1]
 

@@ -1,13 +1,23 @@
+import copy
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nestohedra
 from nestohedra import (
+    BOTTOM,
     Hypergraph,
+    abstract_polytope,
     catalog,
     catalog_lookup,
     census,
+    enumerate_constructions,
     enumerate_constructs,
     finest_partition,
     from_json,
@@ -15,7 +25,9 @@ from nestohedra import (
     is_atomic,
     is_connected,
     quotient,
+    realize,
     restriction,
+    saturated_closure,
     to_json,
     to_text,
 )
@@ -27,9 +39,9 @@ from nestohedra.errors import (
     NotSubsetError,
     UnknownAtomError,
 )
-from nestohedra.hypergraph import bits_of
+from nestohedra.hypergraph import bits_of, family_components, family_union
 
-from helpers import all_atomic_hypergraphs, frozen, paper_a, paper_e
+from helpers import all_atomic_hypergraphs, frozen, graph, paper_a, paper_e
 
 
 class TestValidate:
@@ -88,6 +100,29 @@ class TestInterning:
         assert warm == cold and hash(warm) == hash(cold)
         assert len({warm, cold}) == 1
 
+    @pytest.mark.parametrize("h", [graph("path", 4),
+                                   Hypergraph.from_sets(["a", "b", "c", "d", "e", "ab", "bc",
+                                                         "de"])],
+                             ids=["non-saturated", "disconnected"])
+    def test_masks_outside_the_members(self, h):
+        # closure members and block carriers are no members of h, yet
+        # every family read off h shares atom_set's objects for them
+        outside = saturated_closure(h).members - h.members
+        carriers = {family_union(c) for c in family_components(h.members)}
+        assert outside and carriers - h.members
+        for m in outside | carriers:
+            s = h.atom_set(m)
+            assert h.atom_set(m) is s and next(iter(h.family([m]))) is s
+        families = [*enumerate_constructs(h), *enumerate_constructions(h),
+                    *(fam for fam, _ in realize(h).vertices),
+                    *(f for f in abstract_polytope(h).faces if f is not BOTTOM)]
+        read = set()
+        for fam in families:
+            for s in fam:
+                assert h.atom_set(h.mask(s)) is s
+                read.add(h.mask(s))
+        assert outside | carriers <= read
+
     def test_family_matches_fresh_sets_on_the_catalog(self):
         for e in catalog():
             h = e.hypergraph
@@ -97,6 +132,46 @@ class TestInterning:
             for masks in families:
                 fresh = frozenset(frozenset(h.atoms[i] for i in bits_of(m)) for m in masks)
                 assert h.family(masks) == fresh
+
+
+class TestCopies:
+    """Pickles and copies rebuild a hypergraph from its atoms and
+    members: equal, with the same hash and a table of their own."""
+
+    INPUTS = (paper_a(), paper_e(), Hypergraph.from_sets([]), graph("path", 4))
+
+    @pytest.mark.parametrize("copier", [lambda h: pickle.loads(pickle.dumps(h)),
+                                        copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_round_trip(self, copier):
+        for h in self.INPUTS:
+            hash(h)
+            h.family(h.members)
+            c = copier(h)
+            assert c == h and hash(c) == hash(h) and len({c, h}) == 1
+            assert c.atoms == h.atoms and c.members == h.members
+            for m in [*h.members, h.carrier_mask]:
+                s = c.atom_set(m)
+                assert s == h.atom_set(m) and c.atom_set(m) is s
+                assert next(iter(c.family([m]))) is s
+            assert c.member_sets == h.member_sets
+
+    def test_pickle_hashes_in_the_reading_process(self):
+        # a hash cached before pickling must not travel to a process
+        # with another string-hash seed
+        env = dict(os.environ, PYTHONPATH=str(Path(nestohedra.__file__).parents[1]))
+        head = "import pickle, sys; from nestohedra import Hypergraph; "
+        h = "Hypergraph.from_sets(['a', 'b', 'ab'])"
+
+        def run(seed, code, data=None):
+            return subprocess.run([sys.executable, "-c", head + code], input=data,
+                                  env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+                                  timeout=120, check=True).stdout
+
+        data = run("1", f"h = {h}; hash(h); sys.stdout.buffer.write(pickle.dumps(h))")
+        out = run("2", f"c = pickle.load(sys.stdin.buffer); h = {h}; "
+                       "print(c == h, hash(c) == hash(h), c in {h})", data)
+        assert out.split() == [b"True", b"True", b"True"]
 
 
 class TestCensus:
