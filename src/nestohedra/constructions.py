@@ -13,9 +13,11 @@ a face poset.
 For atomic, saturated, connected (ASC) hypergraphs there is an
 equivalent antichain characterization: a subfamily M of H is inside some
 construction exactly when no antichain of M has its union in H, and it
-is a construction when additionally |M| equals the carrier size.  One
-block check (``_block_fault``) uses it for recognition.  Oracles: the
-deletion recurrence ``_count`` for the counts, the pruned antichain
+is a construction when additionally |M| equals the carrier size.  Its
+antichains are the cliques of int rows (``_incomparable``: per set, the
+bits of the sets incomparable to it), grown by ``_clique_hits``, the
+kernel of the block check ``_block_fault`` and the tubing check.
+Oracles: the deletion recurrence ``_count`` for the counts, the pruned antichain
 search ``_antichain_constructions`` for the constructions, and the power
 set of each vertex's facets in ``face_lattice_isomorphic``.  The route
 table ``ROUTES`` in ``tests/helpers.py`` names every route held against
@@ -80,45 +82,49 @@ def _ensure_asc(h: Hypergraph) -> None:
 # antichain machinery
 # ---------------------------------------------------------------------------
 
-def _clique_walk(members: frozenset[int], lst: Sequence[int]
-                 ) -> tuple[list[list[bool]], Callable[[list[int], int], bool]]:
-    """The incomparability matrix of the masks ``lst`` and a walk over its
-    cliques: ``grows_bad(cand, union)`` tells whether ``union`` joined
-    with some clique of the indices ``cand`` lands in ``members``, where
-    a lone set counts only when ``union`` is nonempty.
+def _incomparable(lst: Sequence[int]) -> list[int]:
+    """Per index of the masks ``lst``, an int whose bits are the indices
+    of the masks incomparable to it (neither inside the other)."""
+    rows = [0] * len(lst)
+    for i, a in enumerate(lst):
+        for j in range(i + 1, len(lst)):
+            c = a & lst[j]
+            if c != a and c != lst[j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
 
-    The walk extends cliques one index at a time, so sets whose pairs
-    already clash are rejected without touching larger subsets.
-    """
-    n = len(lst)
-    incomp = [[False] * n for _ in range(n)]
-    for i in range(n):
-        a = lst[i]
-        for j in range(i + 1, n):
-            b = lst[j]
-            c = a & b
-            if c != a and c != b:
-                incomp[i][j] = incomp[j][i] = True
 
-    def grows_bad(cand: list[int], union: int) -> bool:
-        for pos, i in enumerate(cand):
-            u2 = union | lst[i]
-            if union and u2 in members:
+def _clique_hits(members: frozenset[int], lst: Sequence[int], rows: Sequence[int],
+                 cand: int, union: int) -> bool:
+    """Does ``union`` joined with some clique of the index bits ``cand``
+    (pairwise incomparable by ``rows = _incomparable(lst)``) land in
+    ``members``?  A lone set counts only when ``union`` is nonempty.
+    Cliques grow one index at a time, lowest bit first, from an explicit
+    stack, so sets whose pairs already clash are never reached."""
+    stack: list[tuple[int, int]] = []
+    while True:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            grown = union | lst[i]
+            if union and grown in members:
                 return True
-            nxt = [j for j in cand[pos + 1:] if incomp[i][j]]
-            if nxt and grows_bad(nxt, u2):
-                return True
-        return False
-
-    return incomp, grows_bad
+            nxt = cand & rows[i]
+            if nxt:
+                stack.append((cand, union))
+                cand, union = nxt, grown
+        if not stack:
+            return False
+        cand, union = stack.pop()
 
 
 def antichains_all_miss(members: frozenset[int], fam: Sequence[int]) -> bool:
     """No antichain of ``fam`` (>= 2 pairwise incomparable sets) has its
     union in ``members``."""
     lst = list(fam)
-    _, grows_bad = _clique_walk(members, lst)
-    return not grows_bad(list(range(len(lst))), 0)
+    return not _clique_hits(members, lst, _incomparable(lst), (1 << len(lst)) - 1, 0)
 
 
 def superficial_elements(m: Iterable[Iterable[str]], x: Iterable[str]) -> frozenset[str]:
@@ -303,29 +309,30 @@ def _antichain_constructions(members: frozenset[int],
     ``carrier`` by the antichain route: the exhaustive oracle for
     ``_peel``, not the production path.
 
-    Grows subfamilies in member order and adds a member x only when no
-    antichain through x (x with chosen members, pairwise incomparable
-    and incomparable to x) has its union in the block.  An antichain of
-    a subfamily is one of every family containing it, so no
-    construction is cut; each family of carrier size reached is still
-    checked in full by ``_block_fault``.
+    Grows subfamilies in member order, the chosen indices kept as one
+    bitmask, and adds a member x only when no antichain through x has
+    its union in the block: ``_clique_hits`` walks the cliques of the
+    chosen bits incomparable to x (``bits & rows[x]``) starting from
+    ``lst[x]``.  An antichain of a subfamily is one of every family
+    containing it, so no construction is cut; each family of carrier
+    size reached is still checked in full by ``_block_fault``.
     """
     lst = sorted(members)
     size = carrier.bit_count()
-    incomp, grows_bad = _clique_walk(members, lst)
+    rows = _incomparable(lst)
     out = set()
 
-    def extend(chosen: list[int], start: int) -> None:
-        if len(chosen) == size:
-            fam = [lst[i] for i in chosen]
+    def extend(bits: int, count: int, start: int) -> None:
+        if count == size:
+            fam = [lst[i] for i in bits_of(bits)]
             if _block_fault(members, carrier, fam) is None:
                 out.add(frozenset(fam))
             return
-        for x in range(start, len(lst) - size + len(chosen) + 1):
-            if not grows_bad([i for i in chosen if incomp[x][i]], lst[x]):
-                extend(chosen + [x], x + 1)
+        for x in range(start, len(lst) - size + count + 1):
+            if not _clique_hits(members, lst, rows, bits & rows[x], lst[x]):
+                extend(bits | 1 << x, count + 1, x + 1)
 
-    extend([], 0)
+    extend(0, 0, 0)
     return frozenset(out)
 
 

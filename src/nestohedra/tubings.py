@@ -27,6 +27,7 @@ from .hypergraph import (
     AtomSet,
     Family,
     Hypergraph,
+    bits_of,
     family_components,
     family_union,
     mask_sort_key,
@@ -134,16 +135,18 @@ def is_tubing(g: GraphHypergraph, t: Iterable[Iterable[str]]) -> bool:
 
 def _is_tubing(h: Hypergraph, masks: list[int]) -> bool:
     """``is_tubing`` on distinct member masks of the graph's closure ``h``."""
+    top = h.carrier_mask
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
-            if _clash(a, b, h.members):
+            c = a & b  # ``_clash`` inline: it runs for every pair of every walked family
+            if (c != a and c != b) if c else (a | b) in h.members:
                 return False
-    if h.carrier_mask not in masks:
+    if top not in masks:
         return False
     # Compatible tubes below the top cover every vertex only when the maximal
     # ones are a loose graph's blocks: two would be adjacent through the top,
     # and three or more connected tubes with no edge between are components.
-    return family_union(m for m in masks if m != h.carrier_mask) != h.carrier_mask
+    return family_union(m for m in masks if m != top) != top
 
 
 @dataclass(frozen=True)
@@ -167,18 +170,19 @@ def tubings_equal_constructs(g: GraphHypergraph, cap: int = 6) -> TubingEquivale
     Subsets holding an overlapping or adjacent pair fail both predicates
     outright; that is verified once per pair (the pair is an antichain
     whose union is a member), after which only pairwise-compatible
-    subsets need the full walk.  The compatible subsets are enumerated
-    explicitly and fed through both predicates.
+    subsets need the full walk.  Row ``compatible[i]`` holds the bits of
+    the later members compatible with member i; the walk extends a
+    subset by each bit of ``cand & compatible[i]``, lowest first, and
+    feeds every subset through both predicates in full.
     """
     h = g.underlying
     _check_cap(h.n_atoms, cap)
     _ensure_asc(h)
-    members = sorted(h.members, key=mask_sort_key)
-    others = [m for m in members if m != h.carrier_mask]
+    others = [m for m in sorted(h.members, key=mask_sort_key) if m != h.carrier_mask]
     n = len(others)
 
     pairs_checked = 0
-    compatible = [[False] * n for _ in range(n)]
+    compatible = [0] * n
     for i in range(n):
         a = others[i]
         for j in range(i + 1, n):
@@ -192,27 +196,26 @@ def tubings_equal_constructs(g: GraphHypergraph, cap: int = 6) -> TubingEquivale
                     raise NestohedraError(
                         "internal error: bad pair is not a failing antichain")
             else:
-                compatible[i][j] = compatible[j][i] = True
+                compatible[i] |= 1 << j
 
     families_checked = 0
     counterexample: Family | None = None
 
-    def walk(start: int, chosen: list[int]) -> bool:
+    def walk(cand: int, chosen: list[int]) -> bool:
         # every family holds the carrier, so the construct test is the
         # antichain test alone
         nonlocal families_checked, counterexample
-        masks = [others[i] for i in chosen] + [h.carrier_mask]
+        masks = [*chosen, h.carrier_mask]
         families_checked += 1
         if _is_tubing(h, masks) != antichains_all_miss(h.members, masks):
             counterexample = h.family(masks)
             return False
-        for i in range(start, n):
-            if all(compatible[c][i] for c in chosen):
-                if not walk(i + 1, chosen + [i]):
-                    return False
+        for i in bits_of(cand):
+            if not walk(cand & compatible[i], [*chosen, others[i]]):
+                return False
         return True
 
-    ok = walk(0, [])
+    ok = walk((1 << n) - 1, [])
     return TubingEquivalenceReport(ok=ok, counterexample=counterexample,
                                    pairs_checked=pairs_checked,
                                    families_checked=families_checked)

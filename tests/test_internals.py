@@ -32,7 +32,9 @@ from nestohedra import (
 from nestohedra.constructions import (
     _antichain_constructions,
     _block_fault,
+    _clique_hits,
     _fpoly,
+    _incomparable,
     _masks_in,
     _read_forest,
     antichains_all_miss,
@@ -41,6 +43,7 @@ from nestohedra.axioms import _disconnected_sections
 from nestohedra.facelattice import _cover_scan, _up_rows
 from nestohedra.realization import _coordinates
 from nestohedra.hypergraph import _AtomSets, family_components
+from nestohedra.tubings import _is_tubing
 
 
 def _naive_all_miss(members, fam):
@@ -64,6 +67,61 @@ def test_antichain_scan_matches_brute_force():
         members = frozenset(rng.sample(universe, rng.randint(1, min(12, len(universe)))))
         fam = rng.sample(universe, rng.randint(0, min(8, len(universe))))
         assert antichains_all_miss(members, fam) == _naive_all_miss(members, fam)
+
+
+def _comparable(a, b):
+    return a & b in (a, b)
+
+
+def _naive_clique_hits(members, lst, cand, union):
+    """Some pairwise incomparable subset of the indices ``cand``, of two or
+    more sets or of one when ``union`` is nonempty, joined with
+    ``union`` lands in ``members``."""
+    idx = [i for i in range(len(lst)) if cand >> i & 1]
+    for r in range(1 if union else 2, len(idx) + 1):
+        for sub in itertools.combinations(idx, r):
+            if any(_comparable(lst[i], lst[j]) for i, j in itertools.combinations(sub, 2)):
+                continue
+            u = union
+            for i in sub:
+                u |= lst[i]
+            if u in members:
+                return True
+    return False
+
+
+def test_incomparable_rows_match_the_pairwise_test():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        lst = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 9))]
+        rows = _incomparable(lst)
+        assert len(rows) == len(lst)
+        for i, a in enumerate(lst):
+            assert not rows[i] >> i & 1
+            for j, b in enumerate(lst):
+                assert (rows[i] >> j & 1) == (rows[j] >> i & 1)
+                assert bool(rows[i] >> j & 1) == (not _comparable(a, b))
+
+
+def test_clique_hits_matches_brute_force():
+    rng = random.Random(41)
+    starts = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        universe = list(range(1, 1 << n))
+        # random member sets, not closed under anything
+        members = frozenset(rng.sample(universe, rng.randint(1, min(12, len(universe)))))
+        lst = rng.sample(universe, rng.randint(0, min(9, len(universe))))
+        rows = _incomparable(lst)
+        full = (1 << len(lst)) - 1
+        for cand in (full, rng.randint(0, full), 0):
+            for union in (0, rng.choice(universe)):
+                got = _clique_hits(members, lst, rows, cand, union)
+                assert got == _naive_clique_hits(members, lst, cand, union)
+                starts += bool(union and got)
+        assert (not _clique_hits(members, lst, rows, full, 0)) == antichains_all_miss(members, lst)
+    assert starts > 100  # the nonzero start does find unions
 
 
 def _naive_components(masks):
@@ -178,7 +236,8 @@ class TestInvariantsUnderOptimize:
                                     FacePoset._from_families, abstract_polytope,
                                     _up_rows, _cover_scan, _disconnected_sections,
                                     verify_axioms, tubings_equal_constructs,
-                                    Hypergraph.family, _AtomSets.__missing__])
+                                    Hypergraph.family, _AtomSets.__missing__,
+                                    _clique_hits, _incomparable, _is_tubing])
     def test_no_assert_statements(self, fn):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
@@ -195,6 +254,33 @@ class TestInvariantsUnderOptimize:
         assert debug is False
         assert vertices == [list(c) for _, c in
                             realize(catalog_lookup(name).hypergraph).vertices]
+
+    def test_tubing_check_under_optimize(self):
+        # the report on complete 5, then the internal-error path, reached by
+        # declaring every pair a clash (a comparable pair fails the pair pass)
+        code = textwrap.dedent("""
+            import json
+            import nestohedra.tubings as t
+            g = t.as_graph([(x, y) for x in "abcde" for y in "abcde" if x < y], "abcde")
+            r = t.tubings_equal_constructs(g)
+            t._clash = lambda a, b, members: True
+            try:
+                t.tubings_equal_constructs(g)
+                err = None
+            except t.NestohedraError as exc:
+                err = [type(exc).__name__, str(exc)]
+            print(json.dumps([__debug__, r.ok, r.counterexample, r.pairs_checked,
+                              r.families_checked, err]))
+            """)
+        env = dict(os.environ, PYTHONPATH=str(Path(nestohedra.__file__).parents[1]))
+        runs = [json.loads(subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                                          capture_output=True, text=True, timeout=120,
+                                          check=True).stdout)
+                for flags in ([], ["-O"])]
+        assert [r[0] for r in runs] == [True, False]
+        assert runs[1][1:] == runs[0][1:] == [
+            True, None, 285, 541,
+            ["NestohedraError", "internal error: bad pair is not a failing antichain"]]
 
     @pytest.mark.parametrize("argv", [["lattice", "H'_4321", "--format", "json"],
                                       ["verify", "H'_4321"], ["info", "H'_4321"],

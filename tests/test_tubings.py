@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import nestohedra.tubings
 from nestohedra import (
     GraphHypergraph,
     Hypergraph,
@@ -24,7 +25,7 @@ from nestohedra.errors import (
     NotTubesError,
 )
 
-from helpers import L, frozen, graphs_up_to_iso, paper_a
+from helpers import KINDS, L, frozen, graph, graphs_up_to_iso, paper_a
 
 
 def path4():
@@ -162,6 +163,96 @@ class TestEquivalence:
                 if frozenset(h.atoms) in fam and is_tubing(g, fam):
                     tubings.add(fam)
         assert tubings == enumerate_constructs(h)
+
+
+def kind_graph(kind, n):
+    return GraphHypergraph(saturated_closure(graph(kind, n)))
+
+
+# (ok, pairs_checked, families_checked) for n = 1..6: the pair pass counts
+# the clashing pairs below the top, the walk every compatible family
+REPORTS = {
+    "path": [(True, 0, 1), (True, 1, 3), (True, 5, 11), (True, 15, 45),
+             (True, 35, 197), (True, 70, 903)],
+    "cycle": [(True, 0, 1), (True, 1, 3), (True, 9, 13), (True, 36, 63),
+              (True, 100, 321), (True, 225, 1683)],
+    "star": [(True, 0, 1), (True, 1, 3), (True, 5, 11), (True, 21, 51),
+             (True, 87, 299), (True, 365, 2163)],
+    "complete": [(True, 0, 1), (True, 1, 3), (True, 9, 13), (True, 55, 75),
+                 (True, 285, 541), (True, 1351, 4683)],
+}
+
+
+class TestEquivalenceReports:
+    """The reports of the tubing check, pinned: the counts fix how much
+    the pair pass and the walk do, and a forced mismatch fixes the order
+    in which the walk meets the families."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_graph_families(self, kind):
+        got = []
+        for n in range(1, 7):
+            r = tubings_equal_constructs(kind_graph(kind, n))
+            assert r.counterexample is None
+            got.append((r.ok, r.pairs_checked, r.families_checked))
+        assert got == REPORTS[kind]
+
+    @pytest.mark.parametrize("edges, atoms, expected", [
+        ([], "x", (True, 0, 1)),
+        ([], "xy", (True, 1, 3)),
+        ([], "xyz", (True, 0, 8)),
+        ([], "abcdef", (True, 0, 64)),
+        ([("x", "y")], "xyz", (True, 2, 9)),
+        ([("a", "b"), ("b", "c")], "abcd", (True, 6, 33)),
+        ([("a", "b"), ("c", "d")], "abcde", (True, 2, 72)),
+        ([("a", "b"), ("b", "c"), ("a", "c")], "abcdef", (True, 9, 208)),
+    ])
+    def test_isolated_vertices(self, edges, atoms, expected):
+        r = tubings_equal_constructs(as_graph(edges, atoms))
+        assert r.counterexample is None
+        assert (r.ok, r.pairs_checked, r.families_checked) == expected
+
+    @staticmethod
+    def _flip(monkeypatch, when):
+        real = nestohedra.tubings._is_tubing
+
+        def flipped(h, masks):
+            return real(h, masks) != when(h, masks)
+
+        monkeypatch.setattr(nestohedra.tubings, "_is_tubing", flipped)
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("path", [["a"], ["a", "b", "c", "d", "e"], ["c"]]),
+        ("cycle", [["a"], ["a", "b", "c", "d", "e"], ["c"]]),
+        ("star", [["a"], ["a", "b"], ["a", "b", "c", "d", "e"]]),
+        ("complete", [["a"], ["a", "b"], ["a", "b", "c", "d", "e"]]),
+    ])
+    def test_first_mismatch_of_three_masks(self, monkeypatch, kind, expected):
+        self._flip(monkeypatch, lambda h, masks: len(masks) >= 3)
+        r = tubings_equal_constructs(kind_graph(kind, 5))
+        assert not r.ok
+        assert sorted(sorted(s) for s in r.counterexample) == expected
+        assert r.families_checked == 3
+
+    @pytest.mark.parametrize("kind, expected, families", [
+        ("path", [["a", "b", "c", "d", "e"], ["b"], ["d"]], 48),
+        ("cycle", [["a", "b", "c", "d", "e"], ["b"], ["d"]], 66),
+        ("star", [["a", "b", "c", "d", "e"], ["b"], ["c"]], 78),
+        ("complete", [["a", "b", "c", "d", "e"], ["b"], ["b", "c"]], 91),
+    ])
+    def test_first_mismatch_past_the_first_atom(self, monkeypatch, kind, expected, families):
+        # flip only families of three or more masks whose tubes below the
+        # top all miss the first atom: the walk meets them after every
+        # family through {a}
+        def late(h, masks):
+            tubes = [m for m in masks if m != h.carrier_mask]
+            return len(masks) >= 3 and not any(m & 1 for m in tubes)
+
+        self._flip(monkeypatch, late)
+        r = tubings_equal_constructs(kind_graph(kind, 5))
+        assert not r.ok
+        assert sorted(sorted(s) for s in r.counterexample) == expected
+        assert r.families_checked == families
 
 
 class TestConstructPairProperties:
