@@ -4,11 +4,12 @@ The production route is one peeling recursion (``_peel``) that
 enumerates both: the empty family has the empty result; a connected
 family with carrier X puts X on top of each result for the members
 missing a peeled set S, one atom of X for constructions and any
-nonempty S for constructs; a disconnected one takes unions across its
-connected blocks.  S is what X's children leave uncovered, so every
-result arises once.  ``_fpoly`` follows the construct recursion with
-counts by size instead of sets, which gives f-vectors and ranks without
-a face poset.
+nonempty S for constructs; a disconnected one joins one result of each
+connected block.  S is what X's children leave uncovered, so every
+result arises once, built once as a tuple of member masks; the public
+enumerators return frozensets of families.  ``_fpoly`` follows the
+construct recursion with counts by size instead of sets, which gives
+f-vectors and ranks without a face poset.
 
 For atomic, saturated, connected (ASC) hypergraphs there is an
 equivalent antichain characterization: a subfamily M of H is inside some
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import prod
 from typing import Callable, Iterable, Sequence
 
@@ -146,14 +147,17 @@ def superficial_elements(m: Iterable[Iterable[str]], x: Iterable[str]) -> frozen
 
 # cached on the member family (and the kind of result) alone: results
 # depend only on the bitmask structure, so distinct hypergraphs sharing
-# an ambient indexing reuse each other's subproblems.  Peeling reads only
-# connected components and their carriers, which a hypergraph shares with
-# its saturated closure, so the two peel alike and callers peel the
-# members they are given.
+# an ambient indexing reuse each other's subproblems, and tuples keep it
+# free of a hashed set per result.  Peeling reads only connected
+# components and their carriers, which a hypergraph shares with its
+# saturated closure, so the two peel alike and callers peel the members
+# they are given.
 
 @cache
-def _peel(members: frozenset[int], constructs: bool) -> frozenset[frozenset[int]]:
-    """Constructions of the member family, or its constructs."""
+def _peel(members: frozenset[int], constructs: bool) -> tuple[tuple[int, ...], ...]:
+    """Constructions of the member family, or its constructs, each once
+    as a tuple of member masks, in a fixed order: blocks sorted by
+    carrier, each block's carrier last, peels in submask order."""
     comps = family_components(members)
     if len(comps) == 1:
         carrier = family_union(members)
@@ -164,11 +168,10 @@ def _peel(members: frozenset[int], constructs: bool) -> frozenset[frozenset[int]
                 s = (s - 1) & carrier
         else:
             peels = [1 << b for b in bits_of(carrier)]
-        return frozenset(k | {carrier} for s in peels
-                         for k in _peel(frozenset(m for m in members if not m & s),
-                                        constructs))
-    return frozenset(frozenset().union(*combo)
-                     for combo in product(*(_peel(c, constructs) for c in comps)))
+        return tuple(k + (carrier,) for s in peels
+                     for k in _peel(frozenset(m for m in members if not m & s), constructs))
+    return tuple(tuple(chain.from_iterable(combo))
+                 for combo in product(*(_peel(c, constructs) for c in comps)))
 
 
 @cache
@@ -238,8 +241,9 @@ def _f_vector_and_rank(h: Hypergraph) -> tuple[tuple[int, ...], int]:
     return tuple(counts[n - k] for k in range(rank)), rank
 
 
-def _construct_masks(h: Hypergraph) -> frozenset[frozenset[int]]:
-    """The constructs of an atomic hypergraph as member masks."""
+def _construct_masks(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """The constructs of an atomic hypergraph, each once as a tuple of
+    member masks (``_peel``'s order)."""
     if not is_atomic(h):
         raise NotAtomicError("constructs are defined for atomic hypergraphs")
     return _peel(h.members, True)
@@ -441,11 +445,6 @@ def _sterm_str(t: STerm, in_sum: bool) -> str:
     if isinstance(t, Sum):
         return "(" + "+".join(_sterm_str(s, in_sum=True) for s in t.terms) + ")"
     raise TypeError(f"not an STerm: {t!r}")
-
-
-def sterm_atoms(t: STerm) -> frozenset[str]:
-    """The atoms a word names: the union of the family it decodes to."""
-    return frozenset().union(*sterm_to_family(t))
 
 
 def sterm_to_family(t: STerm) -> Family:

@@ -133,12 +133,14 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     lexicographically), read as one integer key per construction: the
     sum of 2**(last rank - rank) over its members, descending, which
     orders alike since every construction has n members.  A vertex lies
-    on the hyperplane of X exactly when X belongs to its construction.
+    on the hyperplane of X exactly when X belongs to its construction,
+    so its incidence row starts all False and sets the column of each
+    member that is a facet, found by mask in one facet-to-column dict.
     Coordinates come from the child-level sweep, which needs the members
-    of each construction to be pairwise nested or disjoint.  The vertex sums over each facet's
-    support are then computed for all vertices at once from the
-    transposed coordinates, and the facets are checked in canonical
-    order: no sum is below the level, and the vertices on the
+    of each construction to be pairwise nested or disjoint.  The vertex
+    sums over each facet's support are then computed for all vertices at
+    once from the transposed coordinates, and the facets are checked in
+    canonical order: no sum is below the level, and the vertices on the
     hyperplane are exactly the constructions holding the facet.
     """
     if not is_atomic(h):
@@ -163,7 +165,17 @@ def realize(h: Hypergraph) -> RealizedPolytope:
 
     facets = [m for m in canonical if m not in block_masks]
     specs = tuple(HyperplaneSpec(h.atom_set(m), 3 ** m.bit_count()) for m in facets)
-    incidence = tuple(tuple(map(k.__contains__, facets)) for k in cons)
+    # the block carriers, in every construction, hold no column
+    column = {m: j for j, m in enumerate(facets)}
+    blank = [False] * len(facets)
+    rows = []
+    for k in cons:
+        row = blank.copy()
+        for m in k:
+            if m in column:
+                row[column[m]] = True
+        rows.append(tuple(row))
+    incidence = tuple(rows)
     cols = list(zip(*(coords for _, coords in vertices)))
     for m, spec, holds in zip(facets, specs, zip(*incidence)):
         totals = list(map(sum, zip(*map(cols.__getitem__, bits_of(m)))))

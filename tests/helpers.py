@@ -176,6 +176,14 @@ def reference_vertex_rows(h):
              tuple(int(m not in k) for m in order)) for k in cons]
 
 
+def reference_incidence(h):
+    """``realize(h)``'s incidence rows rebuilt from its vertices: a row
+    marks each facet support that its construction's family holds."""
+    rp = realize(h)
+    return tuple(tuple(spec.support in fam for spec in rp.facet_specs)
+                 for fam, _ in rp.vertices)
+
+
 def _forest(k: Iterable[int]) -> dict[int, tuple[int, int]]:
     """Parent and root atom of each member mask of a construction.
 
@@ -318,10 +326,31 @@ N = frozen("x", "u", "zu", "xyzu")
 # ---------------------------------------------------------------------------
 
 def graphs_up_to_iso(n: int, connected_only: bool):
-    """Edge sets of graphs on ``n`` vertices, one per isomorphism class."""
-    verts = ATOMS[:n] if n <= 4 else tuple("abcde"[:n])
+    """Edge sets of graphs on ``n`` <= 6 vertices, one per isomorphism
+    class."""
+    verts = ATOMS[:n] if n <= 4 else tuple("abcdef"[:n])
+    for edges in _graph_classes(n):
+        if not connected_only or _graph_connected(verts, edges):
+            yield verts, edges
+
+
+@functools.cache
+def _graph_classes(n: int) -> tuple[frozenset, ...]:
+    """One edge set per isomorphism class of graphs on ``n`` <= 6
+    vertices, by edge count.  Up to five vertices every edge set is
+    tried against every vertex permutation.  Six vertices extend each
+    five-vertex class by a sixth vertex ``f`` with every neighbour set
+    (a graph minus a vertex is in some five-vertex class): an edge set
+    is a 15-bit mask over the vertex pairs, named by the least mask a
+    vertex permutation gives it, and each class keeps that least mask."""
+    if n > 6:
+        raise ValueError("graphs up to isomorphism on at most 6 vertices")
+    if n == 6:
+        return _six_vertex_classes()
+    verts = ATOMS[:n] if n <= 4 else tuple("abcde")
     all_edges = [frozenset(e) for e in itertools.combinations(verts, 2)]
     seen = set()
+    out = []
     for r in range(len(all_edges) + 1):
         for combo in itertools.combinations(all_edges, r):
             edges = frozenset(combo)
@@ -330,12 +359,34 @@ def graphs_up_to_iso(n: int, connected_only: bool):
                              for a, b in map(sorted, edges)))
                 for perm in (dict(zip(verts, p))
                              for p in itertools.permutations(verts)))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            if connected_only and not _graph_connected(verts, edges):
-                continue
-            yield verts, edges
+            if canon not in seen:
+                seen.add(canon)
+                out.append(edges)
+    return tuple(out)
+
+
+def _six_vertex_classes() -> tuple[frozenset, ...]:
+    verts = tuple("abcdef")
+    pairs = list(itertools.combinations(range(6), 2))
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    # per vertex permutation, the image of every low byte and every high
+    # 7 bits of a mask, one pair bit at a time doubling the table
+    tables = []
+    for perm in itertools.permutations(range(6)):
+        lo, hi = [0], [0]
+        for i, (a, b) in enumerate(pairs):
+            t = lo if i < 8 else hi
+            t += [x | bit[min(perm[a], perm[b]), max(perm[a], perm[b])] for x in t]
+        tables.append((lo, hi))
+    least = set()
+    for edges in _graph_classes(5):
+        base = sum(bit[tuple(sorted(map(verts.index, e)))] for e in edges)
+        for nbrs in range(32):
+            mask = base | sum(bit[v, 5] for v in bits_of(nbrs))
+            least.add(min(lo[mask & 255] | hi[mask >> 8] for lo, hi in tables))
+    return tuple(frozenset(frozenset((verts[a], verts[b]))
+                           for i, (a, b) in enumerate(pairs) if mask >> i & 1)
+                 for mask in sorted(least, key=lambda m: (m.bit_count(), m)))
 
 
 def _graph_connected(verts, edges) -> bool:
@@ -802,6 +853,7 @@ _ROWS = [
           lambda h: [oracle_coordinates(k, h.n_atoms) for k in _peel(h.members, False)],
           GEOMETRIC),
     Route("coordinate-floor", _roots_under_the_floor, lambda h: [], ATOMIC),
+    Route("incidence-rows", lambda h: realize(h).incidence, reference_incidence, GEOMETRIC),
     Route("vertex-order", lambda h: _rows(_vertex_rows(h)),
           lambda h: _rows(reference_vertex_rows(h)), GEOMETRIC),
     Route("defining-equations", lambda h: _equations(_vertex_rows(h)),

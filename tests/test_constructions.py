@@ -338,11 +338,26 @@ class TestPeelingMatchesPowerSet:
     def test_constructs(self):
         check("peel-constructs")
 
+    @pytest.mark.parametrize("constructs", [False, True])
+    def test_each_result_once_as_a_tuple(self, constructs):
+        # a tuple keeps what a set would fold away: no result and no
+        # member of one may come twice, and as sets they are the oracle's
+        route = ROUTES["peel-constructs" if constructs else "peel-constructions"]
+        for h in route.corpus():
+            got = _peel(h.members, constructs)
+            assert type(got) is tuple and all(type(k) is tuple for k in got), h
+            assert all(len(set(k)) == len(k) for k in got), h
+            sets = set(map(frozenset, got))
+            assert len(sets) == len(got), h
+            assert set(map(h.family, sets)) == route.oracle(h), h
+
 
 class TestPeelingIgnoresSaturation:
     """Peeling reads only connected components and their carriers, which a
     hypergraph shares with its saturated closure; ``realize`` peels the
-    hypergraph and reads facets off the closure on that ground."""
+    hypergraph and reads facets off the closure on that ground.  The
+    tuples agree in order too: both sort blocks by carrier and take
+    peels in the same submask order."""
 
     @pytest.mark.parametrize("constructs", [False, True])
     def test_hypergraph_peels_like_its_closure(self, constructs):

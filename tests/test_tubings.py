@@ -17,6 +17,7 @@ from nestohedra import (
     saturated_closure,
     tubings_equal_constructs,
 )
+from nestohedra.constructions import _construct_masks
 from nestohedra.errors import (
     BadEdgeError,
     CarrierTooLargeError,
@@ -256,20 +257,25 @@ class TestEquivalenceReports:
 
 
 class TestConstructPairProperties:
+    def test_graph_classes_counted(self):
+        # OEIS A000088 and, connected, A001349
+        assert [len(list(graphs_up_to_iso(n, connected_only=False)))
+                for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+        assert [len(list(graphs_up_to_iso(n, connected_only=True)))
+                for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
     def test_construct_pairs_not_overlapping_not_adjacent(self):
+        # on member masks: two members of a construct nest or are
+        # disjoint, and two disjoint ones have no member as their union
         for n in range(1, 7):
             for verts, edges in graphs_up_to_iso(n, connected_only=False):
-                g = as_graph(edges, verts)
-                h = g.underlying
-                for c in enumerate_constructs(h):
-                    for a in c:
-                        for b in c:
-                            if a == b:
-                                continue
-                            if a & b:
-                                assert a <= b or b <= a
-                            else:
-                                assert (a | b) not in h.member_sets
+                h = as_graph(edges, verts).underlying
+                for c in _construct_masks(h):
+                    for a, b in itertools.combinations(c, 2):
+                        if a & b:
+                            assert a & ~b == 0 or b & ~a == 0
+                        else:
+                            assert a | b not in h.members
 
     def test_pairwise_missing_implies_union_missing_when_not_loose(self):
         # for graphs that are not loose, pairwise-absent unions never sum
