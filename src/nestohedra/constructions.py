@@ -371,9 +371,11 @@ def _read_forest(h: Hypergraph, masks: Iterable[int],
     """Read the construction with the already-checked member ``masks`` off
     its forest bottom up, with ``node(root atom, child results)`` per
     member and ``top`` on the trees.  Members nest or are disjoint, so
-    visited by size (as in ``realization._coordinates``) a member's
-    children are the trees read so far inside it, and its root is the
-    one atom no smaller member fixed."""
+    visited by size a member's children are the trees read so far inside
+    it, and its root is the one atom no smaller member fixed (the
+    coordinate sweep, ``realization._coordinates``, reads the same roots
+    but looks each root coordinate up in a memo instead of keeping
+    trees)."""
     fixed = 0
     trees: dict[int, object] = {}  # each tree read so far: top mask -> result
     for m in sorted(masks, key=int.bit_count):

@@ -4,15 +4,18 @@ Every member X of the (saturated closure of the) hypergraph carves the
 halfspace sum(x_i for i in X) >= 3**|X|; the polytope lives inside the
 hyperplane where the full-carrier sum holds with equality.  A vertex is
 read off its construction in one sweep.  The members of a construction
-are pairwise nested or disjoint, so visiting them by size fixes one new
-atom per member, its root (superficial) atom.  The children of X are the
-trees read so far inside it, each already summing to its own level, so
-the root gets 3**|X| minus the children's levels and X replaces them.
+are pairwise nested or disjoint, so visiting each member after every
+member inside it fixes one new atom per member, its root (superficial)
+atom.  The children of X are the blocks of the restriction to X minus
+its root, so the root gets 3**|X| minus the children's levels, a value
+of the pair (X, root) alone: it is solved the first time the pair is
+seen in a ``realize`` call and read back from that call's memo after.
 Every coordinate is an exact positive integer and no linear algebra or
 floating point is needed.
 The incidence is checked one facet at a time: the sums over X of every
 vertex are taken column-wise, none may fall below 3**|X|, and exactly
-the constructions holding X may reach it.  Disconnected hypergraphs
+the constructions holding X may reach it.  Every vertex must also sum
+to exactly 3**|B| over each block carrier B.  Disconnected hypergraphs
 realize as the cartesian product of their blocks, coordinate blocks
 concatenated in carrier order.
 """
@@ -74,55 +77,52 @@ class RealizedPolytope:
     incidence: tuple[tuple[bool, ...], ...]
 
 
-def _coordinates(k: Iterable[int], n: int) -> tuple[int, ...]:
-    """The vertex of the construction with member masks ``k``, in any order.
+def _coordinates(k: Iterable[int], n: int, memo: dict[int, int]) -> tuple[int, ...]:
+    """The vertex of the construction with member masks ``k``, each
+    listed after every member inside it (as ``_peel`` lists them).
 
-    The members of a construction are pairwise nested or disjoint, so
-    visiting them by size fixes one new atom per member: the root of X,
-    the one atom of X that no smaller member fixed.  The children of X
-    are the trees read so far that lie inside it (as in
-    ``constructions._read_forest``); each already sums to its own level,
-    so the root gets 3**|X| minus the children's levels, which makes the
-    sum over X exactly 3**|X|, and X replaces its children.
+    Members nest or are disjoint, so in that order each member X fixes
+    one new atom, its root.  X's children are the blocks of the
+    restriction to X minus its root, so the root coordinate, 3**|X|
+    minus the children's levels, depends on (X, root) alone.  ``memo``
+    maps ``root << n | X`` to it.  A pair seen first gets 3**|X| minus
+    the coordinates already placed on X's other atoms, and enters the
+    memo once both guards pass.  A member listed before one inside it
+    has a root of two or more atoms, which no key holds.
     """
     out = [0] * n
     fixed = 0
-    trees: list[tuple[int, int]] = []  # (top mask, level) of each tree read so far
-    for m in sorted(k, key=int.bit_count):
+    for m in k:
         root = m & ~fixed
-        if not root or root & (root - 1):
-            raise NestohedraError("internal error: non-unique root")
-        level = 3 ** m.bit_count()
-        x = level
-        if m & fixed:  # else m is its root alone: no children, x == 3
-            rest = []
-            for tree in trees:
-                if tree[0] & ~m:
-                    rest.append(tree)
-                else:  # a child of m
-                    x -= tree[1]
-            trees = rest
+        key = root << n | m
+        x = memo.get(key)
+        if x is None:
+            if not root or root & (root - 1):
+                raise NestohedraError("internal error: non-unique root")
+            level = 3 ** m.bit_count()
+            x = level - sum(map(out.__getitem__, bits_of(m ^ root)))
             # on a construction the children are disjoint and cover
             # |X| - 1 atoms, so their levels sum to at most 3**(|X| - 1)
             # and the root gets at least 2 * 3**(|X| - 1): this guard
             # cannot fire there, and no coordinate is below 3
             if x <= level // 3:
                 raise NestohedraError("internal error: peeled coordinate too small")
+            memo[key] = x
         out[root.bit_length() - 1] = x
-        trees.append((m, level))
         fixed |= m
     return tuple(out)
 
 
 def vertex_coordinates(h: Hypergraph, k: Iterable[Iterable[str]]) -> tuple[int, ...]:
     """The unique solution of the member-sum equations of a construction,
-    one exact integer per carrier atom in carrier order.  A member
-    listed twice counts once."""
+    one exact integer per carrier atom in carrier order, solved over its
+    members sorted by size with a fresh memo.  A member listed twice
+    counts once."""
     if not is_asc(h):
         raise NotASCError("vertex coordinates need an atomic saturated "
                           "connected hypergraph")
     masks = _construction_masks(h, {frozenset(s) for s in k})
-    return _coordinates(masks, h.n_atoms)
+    return _coordinates(sorted(masks, key=int.bit_count), h.n_atoms, {})
 
 
 def realize(h: Hypergraph) -> RealizedPolytope:
@@ -136,12 +136,14 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     on the hyperplane of X exactly when X belongs to its construction,
     so its incidence row starts all False and sets the column of each
     member that is a facet, found by mask in one facet-to-column dict.
-    Coordinates come from the child-level sweep, which needs the members
-    of each construction to be pairwise nested or disjoint.  The vertex
-    sums over each facet's support are then computed for all vertices at
+    Coordinates come from one sweep per construction in ``_peel``'s
+    order, with one memo of root coordinates per call.  The vertex sums
+    over each facet's support are then computed for all vertices at
     once from the transposed coordinates, and the facets are checked in
     canonical order: no sum is below the level, and the vertices on the
-    hyperplane are exactly the constructions holding the facet.
+    hyperplane are exactly the constructions holding the facet.  A
+    memoized value is not re-derived from its construction's children,
+    so every vertex must also sum to exactly 3**|B| over each block B.
     """
     if not is_atomic(h):
         raise NotAtomicError("realization needs an atomic hypergraph")
@@ -159,7 +161,8 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     # larger weight sum
     cons = sorted(_peel(h.members, False), key=lambda k: sum(map(weight.__getitem__, k)),
                   reverse=True)
-    vertices = [(h.family(k), _coordinates(k, n)) for k in cons]
+    memo: dict[int, int] = {}
+    vertices = [(h.family(k), _coordinates(k, n, memo)) for k in cons]
     if len({coords for _, coords in vertices}) != len(vertices):
         raise NestohedraError("internal error: coordinate collision")
 
@@ -184,6 +187,10 @@ def realize(h: Hypergraph) -> RealizedPolytope:
         if holds != tuple(map(eq, totals, repeat(spec.level))):
             raise NestohedraError(
                 "internal error: incidence disagrees with the construction")
+    for m in block_masks:
+        level = 3 ** m.bit_count()
+        if any(map(level.__ne__, map(sum, zip(*map(cols.__getitem__, bits_of(m)))))):
+            raise NestohedraError("internal error: vertex off a block hyperplane")
     return RealizedPolytope(
         dimension=n - len(comps),
         atoms=h.atoms,

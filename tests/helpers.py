@@ -478,6 +478,27 @@ RANDOM_SEEDS = (*range(8), *range(100, 108), *range(200, 208), *range(300, 308),
 RANDOM_STREAMS = {6: 12, 7: 20, 12: 12, 13: 12, 17: 12}
 
 
+def hypertree(seed: int, n: int, blocks: int) -> Hypergraph:
+    """An atomic non-graph hypergraph on ``n`` atoms whose closure has
+    ``blocks`` blocks: the atoms are shuffled and split, and each part
+    is spanned by members of 2-4 atoms, each after the first meeting
+    the ones before in one atom, the first of three or more."""
+    rng = random.Random(seed)
+    atoms = list(string.ascii_lowercase[:n])
+    rng.shuffle(atoms)
+    sets = [{a} for a in atoms]
+    size = -(-n // blocks)
+    for part in (atoms[i:i + size] for i in range(0, n, size)):
+        k = min(len(part), rng.randint(3, 4))
+        covered, rest = part[:k], part[k:]
+        sets.append(set(covered))
+        while rest:
+            k = min(len(rest), rng.randint(1, 3))
+            sets.append({rng.choice(covered), *rest[:k]})
+            covered, rest = covered + rest[:k], rest[k:]
+    return Hypergraph.from_sets(sets)
+
+
 def seeded(seed: int) -> Hypergraph:
     return random_atomic(random.Random(seed), 5 + seed % 2)
 
@@ -768,12 +789,19 @@ def oracle_continuation(h, y, k, j):
     return k | {x | y if x | y in h.member_sets else x for x in j}
 
 
+def _peeled_coordinates(h):
+    """(construction, ``_coordinates``) pairs in ``_peel``'s order, with
+    one memo per hypergraph as in ``realize``, so that most members are
+    read back from it."""
+    memo: dict[int, int] = {}
+    return [(k, _coordinates(k, h.n_atoms, memo)) for k in _peel(h.members, False)]
+
+
 def _roots_under_the_floor(h):
     """(construction, member X) pairs, |X| >= 2, whose root coordinate
     from ``_coordinates`` is below 2 * 3**(|X| - 1): there are none."""
     out = []
-    for k in _peel(h.members, False):
-        coords = _coordinates(k, h.n_atoms)
+    for k, coords in _peeled_coordinates(h):
         out += [(sorted(k), m) for m, (_, root) in _forest(k).items()
                 if m.bit_count() >= 2 and coords[root] < 2 * 3 ** (m.bit_count() - 1)]
     return out
@@ -849,7 +877,7 @@ _ROWS = [
                                              _poset(h)._labels), oracle_transposes, ATOMIC),
     Route("continuation", lambda h: _outcomes(continuation, h),
           lambda h: _outcomes(oracle_continuation, h), ("atomic",)),
-    Route("coordinates", lambda h: [_coordinates(k, h.n_atoms) for k in _peel(h.members, False)],
+    Route("coordinates", lambda h: [coords for _, coords in _peeled_coordinates(h)],
           lambda h: [oracle_coordinates(k, h.n_atoms) for k in _peel(h.members, False)],
           GEOMETRIC),
     Route("coordinate-floor", _roots_under_the_floor, lambda h: [], ATOMIC),

@@ -351,6 +351,13 @@ class TestPeelingMatchesPowerSet:
             assert len(sets) == len(got), h
             assert set(map(h.family, sets)) == route.oracle(h), h
 
+    def test_each_member_after_those_inside_it(self):
+        # realization's coordinate sweep reads the tuples in this order,
+        # unsorted: a member listed before one inside it has no unique root
+        for h in ROUTES["peel-constructions"].corpus():
+            for k in _peel(h.members, False):
+                assert all(o & ~m for i, m in enumerate(k) for o in k[i + 1:]), (h, k)
+
 
 class TestPeelingIgnoresSaturation:
     """Peeling reads only connected components and their carriers, which a

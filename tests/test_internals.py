@@ -243,17 +243,29 @@ class TestInvariantsUnderOptimize:
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
 
     def test_realize_under_optimize(self):
-        name = "H'_4321"
-        code = ("import json; from nestohedra import catalog_lookup, realize; "
-                f"rp = realize(catalog_lookup({name!r}).hypergraph); "
-                "print(json.dumps([__debug__, [list(c) for _, c in rp.vertices]]))")
+        # H'_4321, and path 6, whose 132 vertices read mostly memo hits
+        code = textwrap.dedent("""
+            import json
+            from nestohedra import Hypergraph, catalog_lookup, realize
+            path6 = Hypergraph.from_sets([*"abcdef", "ab", "bc", "cd", "de", "ef"])
+            out = []
+            for h in (catalog_lookup("H'_4321").hypergraph, path6):
+                rp = realize(h)
+                out.append([[list(c) for _, c in rp.vertices], [list(r) for r in rp.incidence]])
+            print(json.dumps([__debug__, out]))
+            """)
         env = dict(os.environ, PYTHONPATH=str(Path(nestohedra.__file__).parents[1]))
-        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120, check=True)
-        debug, vertices = json.loads(run.stdout)
-        assert debug is False
-        assert vertices == [list(c) for _, c in
-                            realize(catalog_lookup(name).hypergraph).vertices]
+        runs = [json.loads(subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                                          capture_output=True, text=True, timeout=120,
+                                          check=True).stdout)
+                for flags in ([], ["-O"])]
+        assert [r[0] for r in runs] == [True, False]
+        assert runs[1][1] == runs[0][1]
+        (vertices, incidence), (path_vertices, _) = runs[0][1]
+        rp = realize(catalog_lookup("H'_4321").hypergraph)
+        assert vertices == [list(c) for _, c in rp.vertices]
+        assert incidence == [list(r) for r in rp.incidence]
+        assert len(path_vertices) == 132
 
     def test_tubing_check_under_optimize(self):
         # the report on complete 5, then the internal-error path, reached by

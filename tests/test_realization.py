@@ -38,8 +38,10 @@ from helpers import (
     L,
     abar,
     all_asc_hypergraphs,
+    check,
     frozen,
     graph,
+    hypertree,
     kept_ids,
     oracle_constructions,
     oracle_coordinates,
@@ -81,6 +83,15 @@ class TestVertexCoordinates:
         with pytest.raises(NotAConstructionError):
             vertex_coordinates(abar(), frozen("x", "y", "z", "u"))
 
+    def test_largest_member_first(self):
+        # the sweep needs each member after those inside it, so
+        # vertex_coordinates sorts whatever order it is given
+        for h in all_asc_hypergraphs(4):
+            for fam in enumerate_constructions(h):
+                k = sorted(fam, key=len, reverse=True)
+                assert vertex_coordinates(h, k) == oracle_coordinates(
+                    [h.mask(s) for s in k], h.n_atoms)
+
     def test_injective_across_constructions(self):
         for h in all_asc_hypergraphs(4):
             seen = {vertex_coordinates(h, k) for k in enumerate_constructions(h)}
@@ -93,9 +104,37 @@ class TestCoordinatesMatchOracle(kept_ids("coordinates")):
 
     def test_two_roots_in_one_member(self):
         # {a} inside {a,b,c} leaves b and c both unfixed
-        for solve in (realization._coordinates, oracle_coordinates):
-            with pytest.raises(NestohedraError, match="non-unique root"):
-                solve([0b001, 0b111], 3)
+        with pytest.raises(NestohedraError, match="non-unique root"):
+            realization._coordinates([0b001, 0b111], 3, {})
+        with pytest.raises(NestohedraError, match="non-unique root"):
+            oracle_coordinates([0b001, 0b111], 3)
+
+    def test_a_member_before_one_inside_it(self):
+        # {a,b} before {a} has two roots, a key the memo never holds,
+        # even once ({a,b}, b) has been solved in the right order
+        memo = {}
+        assert realization._coordinates([0b001, 0b011], 2, memo) == (3, 6)
+        with pytest.raises(NestohedraError, match="non-unique root"):
+            realization._coordinates([0b011, 0b001], 2, memo)
+
+
+class TestHypertreeInputs:
+    """Atomic non-graph hypergraphs on 8-10 atoms with one or two
+    blocks, the class of the benchmark's random realizations, against
+    the parent-map and deletion oracles."""
+
+    @pytest.mark.parametrize("seed, n, blocks", [
+        (5, 8, 1), (2, 9, 1), (0, 10, 1), (4, 9, 2), (7, 10, 2), (1, 10, 2)])
+    def test_against_oracles(self, seed, n, blocks):
+        h = hypertree(seed, n, blocks)
+        hbar = saturated_closure(h)
+        assert is_atomic(h) and max(m.bit_count() for m in h.members) >= 3
+        assert len(family_components(hbar.members)) == blocks
+        for fam, coords in realize(h).vertices:
+            assert coords == oracle_coordinates([hbar.mask(s) for s in fam], n)
+        check("coordinates", [h])
+        check("vertex-order", [h])
+        check("defining-equations", [h])
 
 
 class TestRealize:
@@ -195,52 +234,74 @@ TestDefiningEquations = kept_ids("defining-equations")
 TestVertexOrder = kept_ids("vertex-order")
 
 
-def _tight_roots(h):
+def _roots(h, blocks=False):
     """(construction masks, root atom index) for every member of every
     construction of ``h``'s closure except the block tops, which carve
-    no facet.  A member's root is the one atom its sub-members miss."""
+    no facet, or for the block tops alone when ``blocks``.  A member's
+    root is the one atom its sub-members miss."""
     hbar = saturated_closure(h)
     tops = {family_union(c) for c in family_components(hbar.members)}
     for fam in oracle_constructions(hbar):
         k = frozenset(hbar.mask(s) for s in fam)
-        for m in k - tops:
+        for m in (k & tops if blocks else k - tops):
             below = family_union(o for o in k if o != m and o & ~m == 0)
             yield k, (m & ~below).bit_length() - 1
 
 
+_PERTURBED_INPUTS = [
+    paper_a,
+    lambda: graph("cycle", 4),
+    lambda: Hypergraph.from_sets(["x", "y", "z", "u", "xy", "zu"]),
+]
+
+
 class TestEveryVertexFacetChecked:
     """Moving one coordinate of one vertex by one off a facet of its
-    construction must trip that facet's check."""
+    construction, or off the hyperplane of one of its blocks, must trip
+    that check."""
 
     @staticmethod
     def perturbed(monkeypatch, target, atom, delta):
         real = realization._coordinates
 
-        def coordinates(k, n):
-            out = list(real(k, n))
+        def coordinates(k, n, memo):
+            out = list(real(k, n, memo))
             if frozenset(k) == target:
                 out[atom] += delta
             return tuple(out)
 
         monkeypatch.setattr(realization, "_coordinates", coordinates)
 
-    @pytest.mark.parametrize("make", [
-        paper_a,
-        lambda: graph("cycle", 4),
-        lambda: Hypergraph.from_sets(["x", "y", "z", "u", "xy", "zu"]),
-    ])
+    @pytest.mark.parametrize("make", _PERTURBED_INPUTS)
     @pytest.mark.parametrize("delta, message", [
         (1, "incidence disagrees"),
         (-1, "outside a halfspace"),
     ])
     def test_one_coordinate_moved(self, monkeypatch, make, delta, message):
         h = make()
-        pairs = list(_tight_roots(h))
+        pairs = list(_roots(h))
         assert pairs
         for k, atom in pairs:
             with monkeypatch.context() as mp:
                 self.perturbed(mp, k, atom, delta)
                 with pytest.raises(NestohedraError, match=message):
+                    realize(h)
+        realize(h)
+
+    @pytest.mark.parametrize("make", _PERTURBED_INPUTS + [
+        lambda: Hypergraph.from_sets(["v", "w", "x", "y", "z", "vw", "wx", "yz"]),
+    ])
+    def test_block_root_moved(self, monkeypatch, make):
+        # a block root lies in no other member of its construction, so
+        # moving it up keeps every facet sum on its side: only the block
+        # equation sees it
+        h = make()
+        pairs = list(_roots(h, blocks=True))
+        assert pairs
+        for k, atom in pairs:
+            with monkeypatch.context() as mp:
+                self.perturbed(mp, k, atom, 1)
+                with pytest.raises(NestohedraError, match="vertex off a block hyperplane"):
                     realize(h)
         realize(h)
 
