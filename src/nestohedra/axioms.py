@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import MalformedPosetError
-from .facelattice import FacePoset, Row, face_label
+from .facelattice import FacePoset, Row
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ def _order_fault(p: FacePoset) -> str:
             if not rows[j] <= above:
                 return "order is not transitive"
             if p.ranks[j] <= p.ranks[i]:
-                return (f"rank does not increase from {face_label(p.faces[i])} "
-                        f"to {face_label(p.faces[j])}")
+                return f"rank does not increase from {p._labels[i][0]} to {p._labels[j][0]}"
     return ""
 
 
@@ -93,7 +92,7 @@ def _preamble(p: FacePoset, label: str) -> tuple[bool, list[tuple[str, tuple[str
     counter: list[tuple[str, tuple[str, ...]]] = []
     bounded = len(bottoms) == 1 and len(tops) == 1
     if not bounded:
-        witness = tuple(face_label(p.faces[i]) for i in (bottoms + tops)[:4])
+        witness = tuple(p._labels[i][0] for i in (bottoms + tops)[:4])
         counter.append((label, witness))
     return bounded, counter
 
@@ -179,13 +178,13 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
         while up[i]:
             i = next(j for j in reversed(up[i]) if bad(j, depth))
             depth += 1
-        counter.append(("P2", (face_label(p.faces[i]), f"length {depth}")))
+        counter.append(("P2", (p._labels[i][0], f"length {depth}")))
 
     # strong connectedness: only sections of rank >= 2 need a check
     sections_checked, disconnected = _disconnected_sections(p, up, down)
     p3 = not disconnected
     for f, g in disconnected:
-        counter.append(("P3", (face_label(p.faces[f]), face_label(p.faces[g]))))
+        counter.append(("P3", (p._labels[f][0], p._labels[g][0])))
 
     # diamond: exactly two faces strictly between any rank-gap-2 pair.
     # Ranks rise strictly along the order, so those faces are the middles
@@ -202,8 +201,7 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
         for g in sorted(between):
             if between[g] != 2:
                 p4 = False
-                counter.append(("P4", (face_label(p.faces[f]),
-                                       face_label(p.faces[g]),
+                counter.append(("P4", (p._labels[f][0], p._labels[g][0],
                                        f"{between[g]} between")))
 
     return VerificationReport(p1, p2, p3, p4, r, tuple(counter),
@@ -236,18 +234,18 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
         if rk == -1:
             if bel != (i,):
                 p2 = False
-                counter.append(("base-rank-minus-1", (face_label(p.faces[i]),)))
+                counter.append(("base-rank-minus-1", (p._labels[i][0],)))
             continue
         if rk == 0:
             if len(bel) != 2 or any(ranks[j] != -1 for j in bel if j != i):
                 p2 = False
-                counter.append(("base-rank-0", (face_label(p.faces[i]),)))
+                counter.append(("base-rank-0", (p._labels[i][0],)))
             continue
         sections_checked += 1
         facets = [f for f in down[i] if ranks[f] == rk - 1]
         if not facets:
             p2 = False
-            counter.append(("facet-coverage", (face_label(p.faces[i]), "no facets")))
+            counter.append(("facet-coverage", (p._labels[i][0], "no facets")))
             continue
         # coverage: everything strictly below must sit inside a facet.
         # Each face below i lies under a face i covers, so that holds
@@ -257,8 +255,7 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
             p2 = False
             covered = set().union(*(p._below[f] for f in facets))
             missing = [j for j in bel if j != i and j not in covered]
-            counter.append(("facet-coverage", (face_label(p.faces[i]),
-                                               face_label(p.faces[missing[0]]))))
+            counter.append(("facet-coverage", (p._labels[i][0], p._labels[missing[0]][0])))
         # the rank k-2 faces below i, each with the facets holding it:
         # the facets' own down-covers, and the missing ones in none
         holders: dict[int, list[int]] = {y: [] for y in missing if ranks[y] == rk - 2}
@@ -270,8 +267,7 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
         for y in sorted(holders):
             if len(holders[y]) != 2:
                 p4 = False
-                counter.append(("bivalence", (face_label(p.faces[i]),
-                                              face_label(p.faces[y]),
+                counter.append(("bivalence", (p._labels[i][0], p._labels[y][0],
                                               f"in {len(holders[y])} facets")))
         # close connectedness through shared rank k-2 faces
         if len(facets) > 1:
@@ -285,7 +281,7 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
                             frontier.append(v)
             if len(reached) != len(facets):
                 p3 = False
-                counter.append(("close-connectedness", (face_label(p.faces[i]),)))
+                counter.append(("close-connectedness", (p._labels[i][0],)))
 
     return VerificationReport(p1, p2, p3, p4, r, tuple(counter),
                               0, sections_checked)

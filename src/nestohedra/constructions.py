@@ -63,10 +63,6 @@ from .hypergraph import (
 )
 from .saturation import is_saturated, saturated_closure
 
-# A forest construction is a frozenset of trees; a tree is a frozenset
-# holding one root atom (str) and the child trees (frozensets).
-FConstruction = frozenset
-
 
 @cache
 def is_asc(h: Hypergraph) -> bool:
@@ -388,9 +384,9 @@ def _read_forest(h: Hypergraph, masks: Iterable[int],
     return top(list(trees.values()))
 
 
-def to_f_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> FConstruction:
-    """Forest form of a construction: each tree bundles its root atom
-    with the set of its child trees."""
+def to_f_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> frozenset:
+    """Forest form of a construction: a frozenset of trees, each a
+    frozenset of its root atom (str) and its child trees."""
     return _read_forest(h, _construction_masks(h, k),
                         lambda atom, trees: frozenset({atom, *trees}), frozenset)
 

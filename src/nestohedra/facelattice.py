@@ -180,23 +180,6 @@ class FacePoset:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _from_families(cls, faces_ranks: Iterable[tuple[Face, int]]) -> "FacePoset":
-        """Reverse inclusion on construct families, with ``BOTTOM`` least.
-
-        Each member gets one bit and each face the mask of its members.
-        Every face holds the members all faces share, so the faces above
-        a face are those whose masks join the shared members with a
-        submask of its other members.  On construct posets and their
-        products every such mask is a face; other families raise
-        ``NestohedraError``.
-        """
-        faces, ranks, labels = _by_rank_and_label(faces_ranks)
-        members = frozenset().union(*(f for f in faces if f is not BOTTOM))
-        bit = {m: 1 << k for k, m in enumerate(members)}
-        keys = [None if f is BOTTOM else sum(map(bit.__getitem__, f)) for f in faces]
-        return cls._built(faces, ranks, _up_rows(keys), labels)
-
-    @classmethod
     def from_covers(cls, faces_ranks: Iterable[tuple[Face, int]],
                     covers: Iterable[tuple[Face, Face]]) -> "FacePoset":
         """Build from covering pairs (lower, upper); the order is the
@@ -368,16 +351,15 @@ def abstract_polytope(h: Hypergraph) -> FacePoset:
     bit = [1 << k for k in range(len(named))]
     atoms = [key[1] for key, _ in named]
     texts = ["{%s}" % ",".join(key[1]) for key, _ in named]
-    # labels are distinct, so the sort never compares two constructs
+    # labels are distinct, so the sort never compares positions or constructs
     order = []
     for c in constructs:
         at = sorted(map(position.__getitem__, c))
-        order.append((n - len(c), "{%s}" % ",".join(map(texts.__getitem__, at)), c))
+        order.append((n - len(c), "{%s}" % ",".join(map(texts.__getitem__, at)), at, c))
     order.sort()
     faces: list[Face] = [BOTTOM]
     ranks, keys, labels = [-1], [None], [("F-1", None)]
-    for rank, label, c in order:
-        at = sorted(map(position.__getitem__, c))
+    for rank, label, at, c in order:
         faces.append(h.family(c))
         ranks.append(rank)
         keys.append(sum(map(bit.__getitem__, at)))
@@ -403,22 +385,25 @@ def f_vector(p: FacePoset) -> tuple[int, ...]:
 def meet(p: FacePoset, c1: Face, c2: Face) -> Face:
     """Greatest lower bound; on construct posets this is the union when
     the union is a construct, and the bottom face otherwise."""
-    i, j = p.index(c1), p.index(c2)
-    common = sorted(set(p._below[i]).intersection(p._below[j]))
-    for k in sorted(common, key=lambda x: -p.ranks[x]):
-        if set(p._below[k]).issuperset(common):
-            return p.faces[k]
-    raise NestohedraError("faces have no meet")
+    return _bound(p, p._below, c1, c2, -1, "meet")
 
 
 def join(p: FacePoset, c1: Face, c2: Face) -> Face:
     """Least upper bound; on construct posets this is the intersection."""
+    return _bound(p, p._above, c1, c2, 1, "join")
+
+
+def _bound(p: FacePoset, rows: Sequence[Row], c1: Face, c2: Face, sign: int,
+           what: str) -> Face:
+    """Of the faces in the rows of both ``c1`` and ``c2`` (down-sets for
+    the meet, up-sets for the join), the first by ``sign`` times rank
+    whose own row holds them all."""
     i, j = p.index(c1), p.index(c2)
-    common = sorted(set(p._above[i]).intersection(p._above[j]))
-    for k in sorted(common, key=lambda x: p.ranks[x]):
-        if set(p._above[k]).issuperset(common):
+    common = sorted(set(rows[i]).intersection(rows[j]))
+    for k in sorted(common, key=lambda x: sign * p.ranks[x]):
+        if set(rows[k]).issuperset(common):
             return p.faces[k]
-    raise NestohedraError("faces have no join")
+    raise NestohedraError(f"faces have no {what}")
 
 
 def otimes(*posets: FacePoset) -> FacePoset:
@@ -444,7 +429,12 @@ def otimes(*posets: FacePoset) -> FacePoset:
         face = frozenset().union(*(f for f, _ in combo))
         rank = sum(r for _, r in combo)
         faces_ranks.append((face, rank))
-    return FacePoset._from_families(faces_ranks)
+    faces, ranks, labels = _by_rank_and_label(faces_ranks)
+    members = frozenset().union(*(f for f in faces if f is not BOTTOM))
+    bit = {m: 1 << k for k, m in enumerate(members)}
+    keys = [None if f is BOTTOM else sum(map(bit.__getitem__, f)) for f in faces]
+    # construct products are closed under subfamilies; _up_rows refuses other families
+    return FacePoset._built(faces, ranks, _up_rows(keys), labels)
 
 
 def continuation(h: Hypergraph, y: Iterable[str],

@@ -76,8 +76,6 @@ def _parse_edges(text: str) -> tuple[set[frozenset[str]], set[str]]:
             continue
         parts = [p.strip() for p in line.split("-")]
         if len(parts) == 1:
-            if not parts[0]:
-                raise BadEdgeError(f"bad line {raw!r}")
             atoms.add(parts[0])
         elif len(parts) == 2:
             if not parts[0] or not parts[1]:

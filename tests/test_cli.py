@@ -195,6 +195,17 @@ class TestAtlasAndTubings:
         assert run(["tubings", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_tubings_reports_a_counterexample(self, tmp_path, capsys, monkeypatch):
+        from nestohedra import tubings
+        monkeypatch.delenv("NESTOHEDRA_COLOR", raising=False)
+        check = tubings._is_tubing
+        monkeypatch.setattr(tubings, "_is_tubing", lambda h, masks: not check(h, masks))
+        path = tmp_path / "g.txt"
+        path.write_text("a-b\nb-c\n")
+        assert run(["tubings", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "tubings == constructs: FAIL counterexample [['a', 'b', 'c']]"
+
     def test_tubings_cap_comes_before_saturation(self, tmp_path, capsys, monkeypatch):
         from nestohedra import tubings
 

@@ -164,6 +164,19 @@ class TestMeetJoin:
                     assert meet(p, c1, c2) == expected
                     assert join(p, c1, c2) == (c1 & c2)
 
+    def test_antichain_has_no_bounds(self):
+        # two incomparable faces and nothing else: no meet, no join, no top
+        p = FacePoset(["a", "b"], [0, 0], [[0], [1]])
+        with pytest.raises(NestohedraError, match="faces have no meet"):
+            meet(p, "a", "b")
+        with pytest.raises(NestohedraError, match="faces have no join"):
+            join(p, "a", "b")
+        assert p.top() is None
+
+    def test_duplicate_face_is_refused(self):
+        with pytest.raises(NestohedraError, match="duplicate face a"):
+            FacePoset(["a", "a"], [0, 0], [[0], [1]])
+
     def test_lattice_axioms_sampled(self):
         p = abstract_polytope(abar())
         faces = list(p.faces)

@@ -23,6 +23,7 @@ from nestohedra import (
     enumerate_constructions,
     f_vector,
     face_lattice_isomorphic,
+    otimes,
     poset_isomorphic,
     realize,
     tubings_equal_constructs,
@@ -40,7 +41,7 @@ from nestohedra.constructions import (
     antichains_all_miss,
 )
 from nestohedra.axioms import _disconnected_sections
-from nestohedra.facelattice import _cover_scan, _up_rows
+from nestohedra.facelattice import _bound, _cover_scan, _up_rows
 from nestohedra.realization import _coordinates
 from nestohedra.hypergraph import _AtomSets, family_components
 from nestohedra.tubings import _is_tubing
@@ -233,7 +234,7 @@ class TestInvariantsUnderOptimize:
     @pytest.mark.parametrize("fn", [_read_forest, _block_fault, _masks_in, _fpoly,
                                     _antichain_constructions, _coordinates, realize,
                                     face_lattice_isomorphic,
-                                    FacePoset._from_families, abstract_polytope,
+                                    otimes, _bound, abstract_polytope,
                                     _up_rows, _cover_scan, _disconnected_sections,
                                     verify_axioms, tubings_equal_constructs,
                                     Hypergraph.family, _AtomSets.__missing__,
@@ -325,3 +326,28 @@ def test_no_unused_imports(path):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _read_names(path):
+    """The names a module reads, as a bare name or after a dot."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+_PACKAGE = sorted(Path(nestohedra.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_no_unused_private_helpers(path):
+    """Every private function, method and class a library module defines
+    is read somewhere in the package; a docstring mention does not count."""
+    private = {node.name for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    used = set().union(*map(_read_names, _PACKAGE))
+    assert sorted(private - used) == []

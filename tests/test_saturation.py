@@ -61,6 +61,9 @@ class TestDispensable:
             for a in h.atoms:
                 assert not is_dispensable(h, {a})
 
+    def test_empty_set_never(self):
+        assert is_dispensable(paper_a(), []) is False
+
     def test_dispensable_without_membership(self):
         e_minus = Hypergraph.from_sets(
             [{"x", "y"}, {"y", "z"}, {"u"}, {"v"}])

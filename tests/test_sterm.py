@@ -79,6 +79,11 @@ class TestParsing:
         with pytest.raises(STermSyntaxError, match="term nested too deeply"):
             parse_s_construction(text, paper_a())
 
+    def test_deep_parentheses_on_a_small_hypergraph(self):
+        h = Hypergraph.from_sets([{"x"}, {"y"}, {"x", "y"}])
+        with pytest.raises(STermSyntaxError, match="term nested too deeply"):
+            parse_s_construction("(" * 5000 + "x" + ")" * 5000, h)
+
     def test_moderate_nesting_parses_as_before(self):
         a = paper_a()
         assert parse_s_construction("(" * 300 + "x" + ")" * 300, a) == Prefix("x", EMPTY)
