@@ -12,10 +12,11 @@ of the pair (X, root) alone: it is solved the first time the pair is
 seen in a ``realize`` call and read back from that call's memo after.
 Every coordinate is an exact positive integer and no linear algebra or
 floating point is needed.
-The incidence is checked one facet at a time: the sums over X of every
-vertex are taken column-wise, none may fall below 3**|X|, and exactly
-the constructions holding X may reach it.  Every vertex must also sum
-to exactly 3**|B| over each block carrier B.  Disconnected hypergraphs
+The incidence is checked from each member's vertex sums, which are
+its parent's sums plus one coordinate column, the parent being a
+member one atom smaller: over X no vertex may fall below 3**|X|, and
+exactly the constructions holding X may reach it.  Every vertex must
+also sum to exactly 3**|B| over each block carrier B.  Disconnected hypergraphs
 realize as the cartesian product of their blocks, coordinate blocks
 concatenated in carrier order.
 """
@@ -23,8 +24,7 @@ concatenated in carrier order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import eq
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -137,13 +137,14 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     so its incidence row starts all False and sets the column of each
     member that is a facet, found by mask in one facet-to-column dict.
     Coordinates come from one sweep per construction in ``_peel``'s
-    order, with one memo of root coordinates per call.  The vertex sums
-    over each facet's support are then computed for all vertices at
-    once from the transposed coordinates, and the facets are checked in
-    canonical order: no sum is below the level, and the vertices on the
-    hyperplane are exactly the constructions holding the facet.  A
-    memoized value is not re-derived from its construction's children,
-    so every vertex must also sum to exactly 3**|B| over each block B.
+    order, with one memo of root coordinates per call.  The incidence
+    loop also lists each facet's holders, and ``_sums_fault`` checks
+    every facet from its vertex sums, each member's sums one column
+    add from its parent's: no sum is below the level, and the vertices
+    on the hyperplane are exactly the constructions holding the facet.
+    A memoized value is not re-derived from its construction's
+    children, so every vertex must also sum to exactly 3**|B| over
+    each block B.  The first fault in canonical order is raised.
     """
     if not is_atomic(h):
         raise NotAtomicError("realization needs an atomic hypergraph")
@@ -172,32 +173,72 @@ def realize(h: Hypergraph) -> RealizedPolytope:
     column = {m: j for j, m in enumerate(facets)}
     blank = [False] * len(facets)
     rows = []
-    for k in cons:
+    holders: list[list[int]] = [[] for _ in facets]
+    for v, k in enumerate(cons):
         row = blank.copy()
         for m in k:
-            if m in column:
-                row[column[m]] = True
+            j = column.get(m)
+            if j is not None:
+                row[j] = True
+                holders[j].append(v)
         rows.append(tuple(row))
-    incidence = tuple(rows)
-    cols = list(zip(*(coords for _, coords in vertices)))
-    for m, spec, holds in zip(facets, specs, zip(*incidence)):
-        totals = list(map(sum, zip(*map(cols.__getitem__, bits_of(m)))))
-        if min(totals) < spec.level:
-            raise NestohedraError("internal error: vertex outside a halfspace")
-        if holds != tuple(map(eq, totals, repeat(spec.level))):
-            raise NestohedraError(
-                "internal error: incidence disagrees with the construction")
-    for m in block_masks:
-        level = 3 ** m.bit_count()
-        if any(map(level.__ne__, map(sum, zip(*map(cols.__getitem__, bits_of(m)))))):
-            raise NestohedraError("internal error: vertex off a block hyperplane")
+    fault = _sums_fault(facets, block_masks,
+                        list(zip(*(coords for _, coords in vertices))), holders)
+    if fault:
+        raise NestohedraError(fault)
     return RealizedPolytope(
         dimension=n - len(comps),
         atoms=h.atoms,
         vertices=tuple(vertices),
         facet_specs=specs,
-        incidence=incidence,
+        incidence=tuple(rows),
     )
+
+
+def _sums_fault(facets: list[int], blocks: list[int], cols: list[tuple[int, ...]],
+                holders: list[list[int]]) -> str:
+    """The first fault of the vertex sums, or "".  ``cols`` holds one
+    coordinate column per atom, ``holders[j]`` the vertices holding
+    ``facets[j]``.  A member's sums are its parent's (the first member
+    one atom smaller, in ``bits_of`` order) plus one column; a member
+    with no parent is summed from its columns.  The parent forest is
+    walked depth first, so only the current path's sums are kept.  With
+    no sum below the level, the holders are exactly the vertices at the
+    level when their sums add up to the level times their number and as
+    many sums reach it; a block needs every sum at its level.  The first
+    failing facet in canonical order wins, halfspace before incidence,
+    and block faults come after all facets.
+    """
+    rank = {m: i for i, m in enumerate(facets + blocks)}
+    kids: dict[int, list[tuple[int, int]]] = {m: [] for m in rank}
+    stack = []
+    for m in rank:
+        a = next((a for a in bits_of(m) if m ^ 1 << a in kids), None)
+        if a is None:
+            stack.append((m, m.bit_length() - 1, None))
+        else:
+            kids[m ^ 1 << a].append((m, a))
+    faults = {}
+    while stack:
+        m, a, base = stack.pop()
+        if base is not None:
+            totals = list(map(add, base, cols[a]))
+        elif m & (m - 1):
+            totals = list(map(sum, zip(*map(cols.__getitem__, bits_of(m)))))
+        else:
+            totals = cols[a]
+        stack += [(c, b, totals) for c, b in kids[m]]
+        level = 3 ** m.bit_count()
+        j = rank[m]
+        if j >= len(holders):
+            if totals.count(level) != len(totals):
+                faults[j] = "internal error: vertex off a block hyperplane"
+        elif min(totals) < level:
+            faults[j] = "internal error: vertex outside a halfspace"
+        elif (sum(map(totals.__getitem__, holders[j])) != level * len(holders[j])
+              or totals.count(level) != len(holders[j])):
+            faults[j] = "internal error: incidence disagrees with the construction"
+    return faults[min(faults)] if faults else ""
 
 
 def check_vertex_membership(h: Hypergraph, point: Sequence[int]) -> dict[AtomSet, str]:

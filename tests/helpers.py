@@ -12,6 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import comb
+from operator import eq
 from typing import Callable, Iterable
 
 import pytest
@@ -30,7 +31,7 @@ from nestohedra.facelattice import _by_rank_and_label, _induced, _labelled
 from nestohedra.hypergraph import (
     Hypergraph, bits_of, family_components, family_is_connected, family_union, mask_sort_key,
     members_within, set_sort_key)
-from nestohedra.realization import _coordinates
+from nestohedra.realization import _coordinates, _sums_fault
 from nestohedra.saturation import _dispensable_mask
 
 ATOMS = ("x", "y", "z", "u")
@@ -829,6 +830,65 @@ def _equations(vertices):
     return [(fam, signs) for fam, _, signs in vertices]
 
 
+def oracle_sums_fault(facets, specs, incidence, block_masks, cols):
+    """The first fault of the vertex sums, or "": ``realize``'s facet and
+    block loops before the parent-forest walk, each raise made a return.
+    Every facet re-sums its columns over every vertex and compares its
+    incidence column with the vertices at its level."""
+    for m, spec, holds in zip(facets, specs, zip(*incidence)):
+        totals = list(map(sum, zip(*map(cols.__getitem__, bits_of(m)))))
+        if min(totals) < spec.level:
+            return "internal error: vertex outside a halfspace"
+        if holds != tuple(map(eq, totals, repeat(spec.level))):
+            return "internal error: incidence disagrees with the construction"
+    for m in block_masks:
+        level = 3 ** m.bit_count()
+        if any(map(level.__ne__, map(sum, zip(*map(cols.__getitem__, bits_of(m)))))):
+            return "internal error: vertex off a block hyperplane"
+    return ""
+
+
+def _sums_cases(h):
+    """``realize(h)``'s own check data as (facet masks, specs, incidence
+    rows, block carriers, coordinate columns): unperturbed, then each
+    coordinate moved by +-1 on the first, a middle and the last vertex,
+    the first and last coordinates of the middle vertex swapped, one
+    incidence entry flipped, and the first and last incidence rows
+    swapped.  A moved coordinate breaks every facet and block holding
+    its atom, so the first fault must be ranked; swapped rows keep each
+    facet's count at its level and only the holders' sum sees them."""
+    rp = realize(h)
+    facets = [h.mask(spec.support) for spec in rp.facet_specs]
+    blocks = [family_union(c) for c in family_components(saturated_closure(h).members)]
+    coords = [c for _, c in rp.vertices]
+    rows = list(rp.incidence)
+    mid = len(coords) // 2
+    variants = [(coords, rows)]
+    for v in sorted({0, mid, len(coords) - 1}):
+        for i in range(h.n_atoms):
+            for d in (1, -1):
+                moved = coords.copy()
+                moved[v] = coords[v][:i] + (coords[v][i] + d,) + coords[v][i + 1:]
+                variants.append((moved, rows))
+    if h.n_atoms >= 2:
+        swapped = coords.copy()
+        swapped[mid] = (coords[mid][-1], *coords[mid][1:-1], coords[mid][0])
+        variants.append((swapped, rows))
+    if facets:
+        flipped = rows.copy()
+        flipped[mid] = (not rows[mid][0], *rows[mid][1:])
+        variants.append((coords, flipped))
+        swapped = rows.copy()
+        swapped[0], swapped[-1] = rows[-1], rows[0]
+        variants.append((coords, swapped))
+    return [(facets, rp.facet_specs, r, blocks, list(zip(*c))) for c, r in variants]
+
+
+def _holders(rows):
+    """Per facet column, the vertices whose incidence row holds it."""
+    return [list(compress(range(len(rows)), col)) for col in zip(*rows)]
+
+
 def oracle_face_map(h):
     """Every face from the bitmask power set, joined with the block
     tops."""
@@ -886,6 +946,9 @@ _ROWS = [
           lambda h: _rows(reference_vertex_rows(h)), GEOMETRIC),
     Route("defining-equations", lambda h: _equations(_vertex_rows(h)),
           lambda h: _equations(reference_vertex_rows(h)), GEOMETRIC),
+    Route("facet-sums", lambda h: [_sums_fault(facets, blocks, cols, _holders(rows))
+                                   for facets, _, rows, blocks, cols in _sums_cases(h)],
+          lambda h: [oracle_sums_fault(*case) for case in _sums_cases(h)], GEOMETRIC),
     Route("power-set", lambda h: ((iso := face_lattice_isomorphic(h)).ok, iso.face_map),
           oracle_face_map, GEOMETRIC),
 ]

@@ -42,7 +42,7 @@ from nestohedra.constructions import (
 )
 from nestohedra.axioms import _disconnected_sections
 from nestohedra.facelattice import _bound, _cover_scan, _up_rows
-from nestohedra.realization import _coordinates
+from nestohedra.realization import _coordinates, _sums_fault
 from nestohedra.hypergraph import _AtomSets, family_components
 from nestohedra.tubings import _is_tubing
 
@@ -233,6 +233,7 @@ class TestInvariantsUnderOptimize:
 
     @pytest.mark.parametrize("fn", [_read_forest, _block_fault, _masks_in, _fpoly,
                                     _antichain_constructions, _coordinates, realize,
+                                    _sums_fault,
                                     face_lattice_isomorphic,
                                     otimes, _bound, abstract_polytope,
                                     _up_rows, _cover_scan, _disconnected_sections,
@@ -244,13 +245,15 @@ class TestInvariantsUnderOptimize:
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
 
     def test_realize_under_optimize(self):
-        # H'_4321, and path 6, whose 132 vertices read mostly memo hits
+        # H'_4321, path 6, whose 132 vertices read mostly memo hits, and
+        # an input whose facet abc has no member one atom smaller
         code = textwrap.dedent("""
             import json
             from nestohedra import Hypergraph, catalog_lookup, realize
             path6 = Hypergraph.from_sets([*"abcdef", "ab", "bc", "cd", "de", "ef"])
+            orphan = Hypergraph.from_sets([*"abcd", "abc", "cd"])
             out = []
-            for h in (catalog_lookup("H'_4321").hypergraph, path6):
+            for h in (catalog_lookup("H'_4321").hypergraph, path6, orphan):
                 rp = realize(h)
                 out.append([[list(c) for _, c in rp.vertices], [list(r) for r in rp.incidence]])
             print(json.dumps([__debug__, out]))
@@ -262,11 +265,12 @@ class TestInvariantsUnderOptimize:
                 for flags in ([], ["-O"])]
         assert [r[0] for r in runs] == [True, False]
         assert runs[1][1] == runs[0][1]
-        (vertices, incidence), (path_vertices, _) = runs[0][1]
+        (vertices, incidence), (path_vertices, _), (orphan_vertices, _) = runs[0][1]
         rp = realize(catalog_lookup("H'_4321").hypergraph)
         assert vertices == [list(c) for _, c in rp.vertices]
         assert incidence == [list(r) for r in rp.incidence]
         assert len(path_vertices) == 132
+        assert len(orphan_vertices) == 8
 
     def test_tubing_check_under_optimize(self):
         # the report on complete 5, then the internal-error path, reached by

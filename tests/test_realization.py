@@ -248,10 +248,16 @@ def _roots(h, blocks=False):
             yield k, (m & ~below).bit_length() - 1
 
 
+def no_parent_facet():
+    # facet abc has no member one atom smaller; block abcd has parent abc
+    return Hypergraph.from_sets(["a", "b", "c", "d", "abc", "cd"])
+
+
 _PERTURBED_INPUTS = [
     paper_a,
     lambda: graph("cycle", 4),
     lambda: Hypergraph.from_sets(["x", "y", "z", "u", "xy", "zu"]),
+    no_parent_facet,
 ]
 
 
