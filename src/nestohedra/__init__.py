@@ -56,7 +56,6 @@ from .facelattice import (
     join,
     meet,
     otimes,
-    poset_isomorphic,
     section,
 )
 from .axioms import VerificationReport, verify_axioms, verify_inductive

@@ -59,36 +59,71 @@ class VerificationReport:
 
 def _order_fault(p: FacePoset) -> str:
     """Why the order is not a partial order with ranks strictly monotone
-    on it; empty when it is.  Each row is checked against the others'
-    rows as sets, assuming nothing of how the poset was built."""
+    on it; empty when it is.  Nothing of how the poset was built is
+    assumed.
+
+    First ``_proved_by_covers`` tries a proof by induction from the top
+    rank over the up-cover rows: the rank rises on every up-cover and
+    each row is the face plus its up-covers' rows.  Only when that
+    fails are the rows scanned pairwise, each against the others' rows
+    as sets, to name the fault."""
+    if _proved_by_covers(p):
+        return ""
+    ranks = p.ranks
     rows = [frozenset(row) for row in p._above]
-    for i, above in enumerate(rows):
-        if i not in above:
+    for i, row in enumerate(rows):
+        if i not in row:
             return "order is not reflexive"
         for j in p._above[i]:
             if j == i:
                 continue
             if i in rows[j]:
                 return "order is not antisymmetric"
-            if not rows[j] <= above:
+            if not rows[j] <= row:
                 return "order is not transitive"
-            if p.ranks[j] <= p.ranks[i]:
+            if ranks[j] <= ranks[i]:
                 return f"rank does not increase from {p._labels[i][0]} to {p._labels[j][0]}"
     return ""
+
+
+def _proved_by_covers(p: FacePoset) -> bool:
+    """Whether the up-cover rows prove the order well-formed: the rank
+    rises on every up-cover, and each row holds exactly the face itself
+    and the rows of its up-covers (so a face with no up-cover has the
+    row ``(i,)``).  Ranks rise along up-covers, so these have no cycle,
+    and by induction from the top rank each row is then exactly the
+    faces reached from its face along up-covers: a reflexive, transitive
+    relation whose rank rises strictly off the diagonal, hence
+    antisymmetric.  Whatever the cover rows, a True is a proof."""
+    above, ranks = p._above, p.ranks
+    up, _ = p._cover_rows()
+    for i, ups in enumerate(up):
+        rank, reached = ranks[i], {i}
+        for j in ups:
+            if ranks[j] <= rank:
+                return False
+            reached.update(above[j])
+        # rows hold distinct faces, so this is set equality
+        if len(reached) != len(above[i]) or not reached.issuperset(above[i]):
+            return False
+    return True
 
 
 def _preamble(p: FacePoset, label: str) -> tuple[bool, list[tuple[str, tuple[str, ...]]]]:
     """The checks both checkers start with: a well-formed order, then a
     unique least and greatest face.  Returns that verdict and the
     counterexamples (up to four least and greatest faces under ``label``
-    on failure)."""
+    on failure).  A finite order has a greatest face exactly
+    when one face has no up-cover."""
     if p._fault is None:
         p._fault = _order_fault(p)
     if p._fault:
         raise MalformedPosetError(p._fault)
     n = len(p.faces)
+    up, _ = p._cover_rows()
     bottoms = [i for i in range(n) if len(p._above[i]) == n]
-    tops = [i for i in range(n) if len(p._below[i]) == n]
+    maximal = [i for i in range(n) if not up[i]]
+    tops = maximal if len(maximal) == 1 else []
     counter: list[tuple[str, tuple[str, ...]]] = []
     bounded = len(bottoms) == 1 and len(tops) == 1
     if not bounded:
@@ -165,7 +200,7 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
             for length, count in tails[j].items():
                 tail[length + 1] = tail.get(length + 1, 0) + count
         tails[i] = tail
-    minimals = [i for i in range(n) if len(p._below[i]) == 1]
+    minimals = [i for i in range(n) if not down[i]]
     expected = r + 2
     flags_checked = sum(sum(tails[i].values()) for i in minimals)
     p2 = all(tails[i].keys() == {expected} for i in minimals)
@@ -217,32 +252,35 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
     shared rank k-2 faces (p3, close connectedness).  Rank -1 and 0
     down-sets must be the one- and two-face base posets.  Ranks rise
     strictly along the order, so a face's facets are its down-covers
-    one rank down, and their ridges are theirs.
+    one rank down, and their ridges are theirs; the down-covers also
+    give the base cases, and the faces below are read only to name a
+    face no facet covers.
     """
     p1, counter = _preamble(p, "bounds")
     n = len(p.faces)
     r = p.rank
     ranks = p.ranks
     _, down = p._cover_rows()
+    lower = [[f for f in down[i] if ranks[f] == ranks[i] - 1] for i in range(n)]
 
     p2 = p3 = p4 = True
     sections_checked = 0
 
     for i in sorted(range(n), key=lambda i: ranks[i]):
         rk = ranks[i]
-        bel = p._below[i]
         if rk == -1:
-            if bel != (i,):
+            if down[i]:
                 p2 = False
                 counter.append(("base-rank-minus-1", (p._labels[i][0],)))
             continue
         if rk == 0:
-            if len(bel) != 2 or any(ranks[j] != -1 for j in bel if j != i):
+            # one face below, of rank -1 and with nothing below it
+            if len(down[i]) != 1 or ranks[down[i][0]] != -1 or down[down[i][0]]:
                 p2 = False
                 counter.append(("base-rank-0", (p._labels[i][0],)))
             continue
         sections_checked += 1
-        facets = [f for f in down[i] if ranks[f] == rk - 1]
+        facets = lower[i]
         if not facets:
             p2 = False
             counter.append(("facet-coverage", (p._labels[i][0], "no facets")))
@@ -254,32 +292,34 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
         if len(facets) != len(down[i]):
             p2 = False
             covered = set().union(*(p._below[f] for f in facets))
-            missing = [j for j in bel if j != i and j not in covered]
+            missing = [j for j in p._below[i] if j != i and j not in covered]
             counter.append(("facet-coverage", (p._labels[i][0], p._labels[missing[0]][0])))
-        # the rank k-2 faces below i, each with the facets holding it:
-        # the facets' own down-covers, and the missing ones in none
-        holders: dict[int, list[int]] = {y: [] for y in missing if ranks[y] == rk - 2}
-        for f in facets:
-            for y in down[f]:
-                if ranks[y] == rk - 2:
-                    holders.setdefault(y, []).append(f)
+        # the rank k-2 faces below i, each with the mask of the facets
+        # holding it (facet t is bit t): the facets' own facets, and the
+        # missing ones in none
+        holders = dict.fromkeys([y for y in missing if ranks[y] == rk - 2], 0)
+        for t, f in enumerate(facets):
+            for y in lower[f]:
+                holders[y] = holders.get(y, 0) | 1 << t
         # bivalence: every rank k-2 face below i lies in exactly 2 facets
-        for y in sorted(holders):
-            if len(holders[y]) != 2:
-                p4 = False
-                counter.append(("bivalence", (p._labels[i][0], p._labels[y][0],
-                                              f"in {len(holders[y])} facets")))
-        # close connectedness through shared rank k-2 faces
+        if set(map(int.bit_count, holders.values())) - {2}:
+            p4 = False
+            for y in sorted(holders):
+                held = holders[y].bit_count()
+                if held != 2:
+                    counter.append(("bivalence", (p._labels[i][0], p._labels[y][0],
+                                                  f"in {held} facets")))
+        # close connectedness: the masks, merged while any overlaps the
+        # facets reached from the first, reach them all
         if len(facets) > 1:
-            reached = {facets[0]}
-            frontier = [facets[0]]
-            while frontier:
-                for y in down[frontier.pop()]:
-                    for v in holders.get(y, ()):
-                        if v not in reached:
-                            reached.add(v)
-                            frontier.append(v)
-            if len(reached) != len(facets):
+            every = (1 << len(facets)) - 1
+            reached, last = 1, 0
+            while reached != last and reached != every:
+                last = reached
+                for held in holders.values():
+                    if held & reached:
+                        reached |= held
+            if reached != every:
                 p3 = False
                 counter.append(("close-connectedness", (p._labels[i][0],)))
 

@@ -105,11 +105,12 @@ class FacePoset:
 
     ``_above[i]`` is the sorted tuple of the indices j with face_i <=
     face_j (i included); ``_below`` is its transpose, made on first
-    read (the exports, ``otimes`` and ``poset_isomorphic`` never read
-    it).  The public constructor takes one rank and one row of face
-    indices per face, in any order, and raises ``MalformedPosetError``
-    on a count that does not match the faces or a row naming an unknown
-    face or one face twice; the builders hand over sorted rows.  ``_covers`` (per face,
+    read (the exports and ``otimes`` never read it, nor do the axiom
+    checkers on a well-formed poset).  The public constructor takes one
+    rank and one row of face indices per face, in any order, and raises
+    ``MalformedPosetError`` on a count that does not match the faces or
+    a row naming an unknown face or one face twice; the builders hand
+    over sorted rows without repeats.  ``_covers`` (per face,
     the sorted indices of the faces covering it and of those it covers)
     comes closed-form from ``abstract_polytope`` and from a generic scan
     of the rows otherwise; it and the checkers' well-formedness verdict
@@ -151,7 +152,8 @@ class FacePoset:
     @classmethod
     def _built(cls, faces: Sequence[Face], ranks: Sequence[int], above: Sequence[Row],
                labels: Sequence[tuple]) -> "FacePoset":
-        """A poset on rows a builder made sorted and in range."""
+        """A poset on rows a builder made sorted, without repeats and in
+        range."""
         p = cls.__new__(cls)
         p._fill(faces, ranks, above, labels)
         return p
@@ -503,62 +505,6 @@ def _induced(p: FacePoset, keep: Iterable[int], shift: int = 0) -> FacePoset:
              for a, i in enumerate(old)]
     return FacePoset._built([p.faces[i] for i in old], [p.ranks[i] - shift for i in old],
                             above, [p._labels[i] for i in old])
-
-
-# ---------------------------------------------------------------------------
-# isomorphism testing
-# ---------------------------------------------------------------------------
-
-def poset_isomorphic(p1: FacePoset, p2: FacePoset) -> bool:
-    """Order-preserving bijection test by signature refinement plus
-    backtracking; intended for the small posets this package builds."""
-    n = len(p1.faces)
-    if n != len(p2.faces) or sorted(p1.ranks) != sorted(p2.ranks):
-        return False
-
-    def signatures(p: FacePoset) -> list:
-        up, down = p._cover_rows()
-        sig = list(p.ranks)
-        for _ in range(3):
-            get = sig.__getitem__
-            sig = [hash((sig[i], tuple(sorted(map(get, up[i]))),
-                         tuple(sorted(map(get, down[i])))))
-                   for i in range(len(p.faces))]
-        return sig
-
-    s1, s2 = signatures(p1), signatures(p2)
-    if sorted(s1) != sorted(s2):
-        return False
-    cands = {i: [j for j in range(n) if s2[j] == s1[i]] for i in range(n)}
-    order = sorted(range(n), key=lambda i: len(cands[i]))
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-    rows1 = [frozenset(row) for row in p1._above]
-    rows2 = [frozenset(row) for row in p2._above]
-
-    def fits(i: int, j: int) -> bool:
-        for a, b in assigned.items():
-            if (a in rows1[i]) != (b in rows2[j]):
-                return False
-            if (i in rows1[a]) != (j in rows2[b]):
-                return False
-        return True
-
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in cands[i]:
-            if j not in used and fits(i, j):
-                assigned[i] = j
-                used.add(j)
-                if backtrack(pos + 1):
-                    return True
-                del assigned[i]
-                used.discard(j)
-        return False
-
-    return backtrack(0)
 
 
 # ---------------------------------------------------------------------------

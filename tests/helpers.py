@@ -22,11 +22,12 @@ from nestohedra import (
     count_constructions, dispensable_subsets, enumerate_constructions, enumerate_constructs,
     f_vector, face_label, face_lattice_isomorphic, finest_partition, is_asc, is_atomic,
     is_construction, quotient, realize, restriction, saturated_closure, to_f_construction,
-    to_s_construction)
+    to_s_construction, verify_axioms, verify_inductive)
+from nestohedra.axioms import VerificationReport, _disconnected_sections
 from nestohedra.constructions import (
     EMPTY, Prefix, _antichain_constructions, _block_fault, _f_vector_and_rank, _peel, _word,
     make_sum)
-from nestohedra.errors import BadFactorError, NestohedraError
+from nestohedra.errors import BadFactorError, MalformedPosetError, NestohedraError
 from nestohedra.facelattice import _by_rank_and_label, _induced, _labelled
 from nestohedra.hypergraph import (
     Hypergraph, bits_of, family_components, family_is_connected, family_union, mask_sort_key,
@@ -465,6 +466,264 @@ def diamond_poset() -> FacePoset:
     faces = [("bot", -1), ("a", 0), ("b", 0), ("top", 1)]
     covers = [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
     return FacePoset.from_covers(faces, covers)
+
+
+# ---------------------------------------------------------------------------
+# the axiom checkers as they read the transposed rows, and poset isomorphism
+# ---------------------------------------------------------------------------
+
+def reference_order_fault(p: FacePoset) -> str:
+    """Why the order is not a partial order with ranks strictly monotone
+    on it; empty when it is.  Each row is checked against the others'
+    rows as sets, assuming nothing of how the poset was built: the scan
+    that ``axioms._order_fault`` falls back on when its proof over the
+    cover rows fails."""
+    rows = [frozenset(row) for row in p._above]
+    for i, above in enumerate(rows):
+        if i not in above:
+            return "order is not reflexive"
+        for j in p._above[i]:
+            if j == i:
+                continue
+            if i in rows[j]:
+                return "order is not antisymmetric"
+            if not rows[j] <= above:
+                return "order is not transitive"
+            if p.ranks[j] <= p.ranks[i]:
+                return f"rank does not increase from {p._labels[i][0]} to {p._labels[j][0]}"
+    return ""
+
+
+def _reference_preamble(p: FacePoset, label: str) -> tuple[bool, list[tuple[str, tuple[str, ...]]]]:
+    """The checks both checkers start with: a well-formed order, then a
+    unique least and greatest face.  Returns that verdict and the
+    counterexamples (up to four least and greatest faces under ``label``
+    on failure).  The least and greatest faces are read off the rows and
+    their transpose, and the verdict is not kept on the poset."""
+    fault = reference_order_fault(p)
+    if fault:
+        raise MalformedPosetError(fault)
+    n = len(p.faces)
+    bottoms = [i for i in range(n) if len(p._above[i]) == n]
+    tops = [i for i in range(n) if len(p._below[i]) == n]
+    counter: list[tuple[str, tuple[str, ...]]] = []
+    bounded = len(bottoms) == 1 and len(tops) == 1
+    if not bounded:
+        witness = tuple(p._labels[i][0] for i in (bottoms + tops)[:4])
+        counter.append((label, witness))
+    return bounded, counter
+
+
+def reference_verify_axioms(p: FacePoset) -> VerificationReport:
+    """Check the least/greatest, flag-length, strong-connectedness and
+    diamond properties, reporting witnesses for each failure: the
+    checker that read its greatest and minimal faces off the transposed
+    rows, ``verify_axioms``'s reference."""
+    p1, counter = _reference_preamble(p, "P1")
+    n = len(p.faces)
+    r = p.rank
+    ranks = p.ranks
+
+    # flags: maximal chains along covers from the minimal faces.  Each
+    # face keeps the lengths of the chains from it to a maximal face,
+    # with their numbers, so no flag is walked one by one.
+    up, down = p._cover_rows()
+    tails: list[dict[int, int]] = [{}] * n
+    for i in sorted(range(n), key=lambda i: -ranks[i]):
+        if not up[i]:
+            tails[i] = {1: 1}
+            continue
+        tail: dict[int, int] = {}
+        for j in up[i]:
+            for length, count in tails[j].items():
+                tail[length + 1] = tail.get(length + 1, 0) + count
+        tails[i] = tail
+    minimals = [i for i in range(n) if len(p._below[i]) == 1]
+    expected = r + 2
+    flags_checked = sum(sum(tails[i].values()) for i in minimals)
+    p2 = all(tails[i].keys() == {expected} for i in minimals)
+    if not p2:
+        # the first bad flag in depth-first order, last cover first
+        def bad(i: int, depth: int) -> bool:
+            return any(depth + length != expected for length in tails[i])
+
+        i, depth = next(i for i in reversed(minimals) if bad(i, 0)), 1
+        while up[i]:
+            i = next(j for j in reversed(up[i]) if bad(j, depth))
+            depth += 1
+        counter.append(("P2", (p._labels[i][0], f"length {depth}")))
+
+    # strong connectedness: only sections of rank >= 2 need a check
+    sections_checked, disconnected = _disconnected_sections(p, up, down)
+    p3 = not disconnected
+    for f, g in disconnected:
+        counter.append(("P3", (p._labels[f][0], p._labels[g][0])))
+
+    # diamond: exactly two faces strictly between any rank-gap-2 pair.
+    # Ranks rise strictly along the order, so those faces are the middles
+    # of the two-step cover paths, and a face two ranks up with none
+    # covers f directly.
+    p4 = True
+    for f in range(n):
+        want = ranks[f] + 2
+        between = {g: 0 for g in up[f] if ranks[g] == want}
+        for c in up[f]:
+            for g in up[c]:
+                if ranks[g] == want:
+                    between[g] = between.get(g, 0) + 1
+        for g in sorted(between):
+            if between[g] != 2:
+                p4 = False
+                counter.append(("P4", (p._labels[f][0], p._labels[g][0],
+                                       f"{between[g]} between")))
+
+    return VerificationReport(p1, p2, p3, p4, r, tuple(counter),
+                              flags_checked, sections_checked)
+
+
+def reference_verify_inductive(p: FacePoset) -> VerificationReport:
+    """Rebuild the poset rank by rank.
+
+    The down-set of every face of rank k >= 1 must be assembled from its
+    rank k-1 faces: those cover everything below (p2), share each rank
+    k-2 face exactly twice (p4, bivalence) and hang together through
+    shared rank k-2 faces (p3, close connectedness).  Rank -1 and 0
+    down-sets must be the one- and two-face base posets.  Ranks rise
+    strictly along the order, so a face's facets are its down-covers
+    one rank down, and their ridges are theirs.  This is the checker
+    that read every down-set off the transposed rows and walked the
+    facets sharing a ridge; ``verify_inductive``'s reference.
+    """
+    p1, counter = _reference_preamble(p, "bounds")
+    n = len(p.faces)
+    r = p.rank
+    ranks = p.ranks
+    _, down = p._cover_rows()
+
+    p2 = p3 = p4 = True
+    sections_checked = 0
+
+    for i in sorted(range(n), key=lambda i: ranks[i]):
+        rk = ranks[i]
+        bel = p._below[i]
+        if rk == -1:
+            if bel != (i,):
+                p2 = False
+                counter.append(("base-rank-minus-1", (p._labels[i][0],)))
+            continue
+        if rk == 0:
+            if len(bel) != 2 or any(ranks[j] != -1 for j in bel if j != i):
+                p2 = False
+                counter.append(("base-rank-0", (p._labels[i][0],)))
+            continue
+        sections_checked += 1
+        facets = [f for f in down[i] if ranks[f] == rk - 1]
+        if not facets:
+            p2 = False
+            counter.append(("facet-coverage", (p._labels[i][0], "no facets")))
+            continue
+        # coverage: everything strictly below must sit inside a facet.
+        # Each face below i lies under a face i covers, so that holds
+        # exactly when i covers facets only.
+        missing: list[int] = []
+        if len(facets) != len(down[i]):
+            p2 = False
+            covered = set().union(*(p._below[f] for f in facets))
+            missing = [j for j in bel if j != i and j not in covered]
+            counter.append(("facet-coverage", (p._labels[i][0], p._labels[missing[0]][0])))
+        # the rank k-2 faces below i, each with the facets holding it:
+        # the facets' own down-covers, and the missing ones in none
+        holders: dict[int, list[int]] = {y: [] for y in missing if ranks[y] == rk - 2}
+        for f in facets:
+            for y in down[f]:
+                if ranks[y] == rk - 2:
+                    holders.setdefault(y, []).append(f)
+        # bivalence: every rank k-2 face below i lies in exactly 2 facets
+        for y in sorted(holders):
+            if len(holders[y]) != 2:
+                p4 = False
+                counter.append(("bivalence", (p._labels[i][0], p._labels[y][0],
+                                              f"in {len(holders[y])} facets")))
+        # close connectedness through shared rank k-2 faces
+        if len(facets) > 1:
+            reached = {facets[0]}
+            frontier = [facets[0]]
+            while frontier:
+                for y in down[frontier.pop()]:
+                    for v in holders.get(y, ()):
+                        if v not in reached:
+                            reached.add(v)
+                            frontier.append(v)
+            if len(reached) != len(facets):
+                p3 = False
+                counter.append(("close-connectedness", (p._labels[i][0],)))
+
+    return VerificationReport(p1, p2, p3, p4, r, tuple(counter),
+                              0, sections_checked)
+
+
+def _reports(p: FacePoset, *checkers) -> list:
+    """Each checker's report on ``p`` as a dict, or the message of the
+    ``MalformedPosetError`` it raised."""
+    out = []
+    for verify in checkers:
+        try:
+            out.append(verify(p).to_dict())
+        except MalformedPosetError as err:
+            out.append(str(err))
+    return out
+
+
+def poset_isomorphic(p1: FacePoset, p2: FacePoset) -> bool:
+    """Order-preserving bijection test by signature refinement plus
+    backtracking; meant for posets of a few hundred faces at most."""
+    n = len(p1.faces)
+    if n != len(p2.faces) or sorted(p1.ranks) != sorted(p2.ranks):
+        return False
+
+    def signatures(p: FacePoset) -> list:
+        up, down = p._cover_rows()
+        sig = list(p.ranks)
+        for _ in range(3):
+            get = sig.__getitem__
+            sig = [hash((sig[i], tuple(sorted(map(get, up[i]))),
+                         tuple(sorted(map(get, down[i])))))
+                   for i in range(len(p.faces))]
+        return sig
+
+    s1, s2 = signatures(p1), signatures(p2)
+    if sorted(s1) != sorted(s2):
+        return False
+    cands = {i: [j for j in range(n) if s2[j] == s1[i]] for i in range(n)}
+    order = sorted(range(n), key=lambda i: len(cands[i]))
+    assigned: dict[int, int] = {}
+    used: set[int] = set()
+    rows1 = [frozenset(row) for row in p1._above]
+    rows2 = [frozenset(row) for row in p2._above]
+
+    def fits(i: int, j: int) -> bool:
+        for a, b in assigned.items():
+            if (a in rows1[i]) != (b in rows2[j]):
+                return False
+            if (i in rows1[a]) != (j in rows2[b]):
+                return False
+        return True
+
+    def backtrack(pos: int) -> bool:
+        if pos == n:
+            return True
+        i = order[pos]
+        for j in cands[i]:
+            if j not in used and fits(i, j):
+                assigned[i] = j
+                used.add(j)
+                if backtrack(pos + 1):
+                    return True
+                del assigned[i]
+                used.discard(j)
+        return False
+
+    return backtrack(0)
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +1210,10 @@ _ROWS = [
           lambda h: [oracle_sums_fault(*case) for case in _sums_cases(h)], GEOMETRIC),
     Route("power-set", lambda h: ((iso := face_lattice_isomorphic(h)).ok, iso.face_map),
           oracle_face_map, GEOMETRIC),
+    Route("axiom-checkers", lambda h: _reports(abstract_polytope(h), verify_axioms,
+                                               verify_inductive),
+          lambda h: _reports(abstract_polytope(h), reference_verify_axioms,
+                             reference_verify_inductive), ATOMIC, 5),
 ]
 ROUTES = {r.name: r for r in _ROWS}
 

@@ -13,9 +13,11 @@ from nestohedra import (
 from nestohedra.errors import MalformedPosetError
 
 from helpers import (
+    KINDS,
     all_asc_hypergraphs,
     all_atomic_hypergraphs,
     diamond_poset,
+    graph,
     negative_posets,
     paper_a,
 )
@@ -46,6 +48,13 @@ class TestAccepts:
             p = abstract_polytope(catalog_lookup(name).hypergraph)
             assert verify_axioms(p).ok
             assert verify_inductive(p).ok
+
+    def test_checkers_leave_the_transpose_unmade(self):
+        # on a well-formed poset both checkers read the cover rows only
+        for h in (paper_a(), *(graph(kind, 5) for kind in KINDS)):
+            p = abstract_polytope(h)
+            assert verify_axioms(p).ok and verify_inductive(p).ok
+            assert p._down is None
 
     def test_flag_count_matches_vertex_orders(self):
         p = abstract_polytope(catalog_lookup("H_4641").hypergraph)

@@ -9,13 +9,12 @@ from nestohedra import (
     fvector_table,
     is_connected,
     is_saturated,
-    poset_isomorphic,
     saturated_closure,
 )
 from nestohedra.catalog import _census_ok
 from nestohedra.errors import UnknownNameError
 
-from helpers import frozen, paper_a
+from helpers import frozen, paper_a, poset_isomorphic
 
 
 def members(name):

@@ -23,7 +23,6 @@ from nestohedra import (
     join,
     meet,
     otimes,
-    poset_isomorphic,
     quotient,
     restriction,
     saturated_closure,
@@ -41,7 +40,7 @@ from nestohedra.constructions import _f_vector_and_rank
 from nestohedra.facelattice import to_dot, to_json_dict
 
 from helpers import (L, M, N, _outcomes, abar, all_asc_hypergraphs, check, diamond_poset,
-                     frozen, graph, paper_a, tier)
+                     frozen, graph, paper_a, poset_isomorphic, tier)
 
 
 ALPHA = frozenset("xyzu")

@@ -24,7 +24,6 @@ from nestohedra import (
     f_vector,
     face_lattice_isomorphic,
     otimes,
-    poset_isomorphic,
     realize,
     tubings_equal_constructs,
     verify_axioms,
@@ -40,11 +39,14 @@ from nestohedra.constructions import (
     _read_forest,
     antichains_all_miss,
 )
-from nestohedra.axioms import _disconnected_sections
+from nestohedra.axioms import (_disconnected_sections, _order_fault, _preamble,
+                               _proved_by_covers)
 from nestohedra.facelattice import _bound, _cover_scan, _up_rows
 from nestohedra.realization import _coordinates, _sums_fault
 from nestohedra.hypergraph import _AtomSets, family_components
 from nestohedra.tubings import _is_tubing
+
+from helpers import poset_isomorphic
 
 
 def _naive_all_miss(members, fam):
@@ -237,7 +239,8 @@ class TestInvariantsUnderOptimize:
                                     face_lattice_isomorphic,
                                     otimes, _bound, abstract_polytope,
                                     _up_rows, _cover_scan, _disconnected_sections,
-                                    verify_axioms, tubings_equal_constructs,
+                                    _order_fault, _proved_by_covers, _preamble,
+                                    verify_axioms, verify_inductive, tubings_equal_constructs,
                                     Hypergraph.family, _AtomSets.__missing__,
                                     _clique_hits, _incomparable, _is_tubing])
     def test_no_assert_statements(self, fn):

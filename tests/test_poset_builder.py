@@ -11,7 +11,9 @@ have a higher rank.  It is a test oracle only; the library builds the
 order as submasks over a numbering of the members.
 """
 
+import collections
 import random
+import string
 
 import pytest
 
@@ -29,14 +31,15 @@ from nestohedra import (
     verify_axioms,
     verify_inductive,
 )
-from nestohedra import facelattice
-from nestohedra.facelattice import _induced, _labelled, to_dot, to_json_dict
+from nestohedra import axioms, facelattice
+from nestohedra.facelattice import _induced, _labelled, _transpose, to_dot, to_json_dict
 from nestohedra.constructions import _fpoly
 from nestohedra.hypergraph import family_components, set_sort_key
 
-from helpers import (KINDS, _reverse_inclusion, all_asc_hypergraphs, all_atomic_hypergraphs,
-                     check, construct_faces, diamond_poset, graph, negative_posets,
-                     kept_ids, paper_a, pairwise_order)
+from helpers import (KINDS, _reports, _reverse_inclusion, all_asc_hypergraphs,
+                     all_atomic_hypergraphs, check, construct_faces, diamond_poset, graph,
+                     negative_posets, kept_ids, paper_a, pairwise_order, reference_order_fault,
+                     reference_verify_axioms, reference_verify_inductive)
 
 
 def assert_matches(p, faces_ranks, leq=_reverse_inclusion):
@@ -451,3 +454,66 @@ def test_flag_counts_and_connectivity_match_walks(seed):
     p3 = _disconnected_sections(p)
     assert [c for c in r.counterexamples if c[0] == "P3"] == p3
     assert r.p3_ok == (not p3)
+
+
+def test_checker_reports_match_references_on_hand_built_posets():
+    # the references read the transposed rows and scan the order pairwise;
+    # each side gets its own copy, so neither reads what the other cached
+    def corpus():
+        yield from (p for _, p in negative_posets())
+        yield diamond_poset()
+        yield from (random_ranked_poset(random.Random(seed)) for seed in range(250))
+
+    for p, q in zip(corpus(), corpus()):
+        assert _reports(p, verify_axioms, verify_inductive) == \
+            _reports(q, reference_verify_axioms, reference_verify_inductive)
+
+
+def _random_relation(rng):
+    """Faces, ranks and rows of up to six faces: the reflexive closure
+    of random edges (half the time only edges up the ranks), now and
+    then with one entry dropped or added, so that every verdict of the
+    order check occurs."""
+    n = rng.randint(1, 6)
+    ranks = [rng.randint(-2, 2) for _ in range(n)]
+    rising = rng.random() < 0.5
+    succ = [[j for j in range(n) if j != i and rng.random() < 0.3
+             and (ranks[j] > ranks[i] or not rising)] for i in range(n)]
+    rows = []
+    for i in range(n):
+        seen, todo = {i}, [i]
+        while todo:
+            for j in succ[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        rows.append(seen)
+    roll = rng.random()
+    if roll < 0.15:
+        rows[rng.randrange(n)].discard(rng.randrange(n))
+    elif roll < 0.3:
+        rows[rng.randrange(n)].add(rng.randrange(n))
+    return string.ascii_lowercase[:n], ranks, rows
+
+
+def test_order_fault_matches_pairwise_scan():
+    rng = random.Random(26)
+    verdicts = collections.Counter()
+    for _ in range(6000):
+        faces, ranks, rows = _random_relation(rng)
+        p, q = FacePoset(faces, ranks, rows), FacePoset(faces, ranks, rows)
+        fault = reference_order_fault(q)
+        verdicts[fault.split(" from")[0]] += 1
+        if rng.random() < 0.2:
+            # cover rows made up at random: the proof over them may pass
+            # only on a well-formed order
+            up = tuple(tuple(j for j in range(len(faces)) if rng.random() < 0.3)
+                       for _ in faces)
+            p._covers = (up, _transpose(up))
+            assert axioms._order_fault(p) == fault
+        else:
+            assert _reports(p, verify_axioms, verify_inductive) == \
+                _reports(q, reference_verify_axioms, reference_verify_inductive)
+            assert p._fault == fault
+    assert verdicts.keys() == {"", "order is not reflexive", "order is not antisymmetric",
+                               "order is not transitive", "rank does not increase"}
