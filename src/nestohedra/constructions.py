@@ -28,6 +28,8 @@ Three notations are carried: plain member families, forests (sets of
 trees, each a root atom plus child trees), and prefix words with a
 commutative ``+``.  Forests and words are read in one sweep over the
 members by size; the parent map ``_forest`` is the tests' oracle forest.
+``_word_text`` prints a word in that sweep without building the term;
+its reference is ``str(_word(h, k))`` (route ``word-text``).
 Words parse back only when no atom name holds ``+``, ``(``, ``)`` or
 whitespace and none is a prefix of another; the printer, the parser and
 ``nestohedra enumerate`` refuse other names with ``WordAtomsError``.
@@ -481,6 +483,23 @@ def _word(h: Hypergraph, masks: Iterable[int]) -> STerm:
         return make_sum(terms) if terms else EMPTY
 
     return _read_forest(h, masks, lambda atom, terms: Prefix(atom, word(terms)), word)
+
+
+def _word_text(h: Hypergraph, masks: Iterable[int]) -> str:
+    """``str(_word(h, masks))`` built as text in the same sweep: a tree
+    is its body (the atom, then its children's sum) and its summand form
+    (parenthesised when it has children); summands sort by body, as
+    ``make_sum`` sorts by printed form."""
+    def text(trees: list[tuple[str, str]]) -> str:
+        if len(trees) < 2:
+            return trees[0][0] if trees else ""
+        return "(" + "+".join(inner for _, inner in sorted(trees)) + ")"
+
+    def node(atom: str, trees: list[tuple[str, str]]) -> tuple[str, str]:
+        body = atom + text(trees)
+        return body, "(" + body + ")" if trees else body
+
+    return _read_forest(h, masks, node, text)
 
 
 def to_s_construction(h: Hypergraph, k: Iterable[Iterable[str]]) -> STerm:

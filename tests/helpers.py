@@ -26,7 +26,7 @@ from nestohedra import (
 from nestohedra.axioms import VerificationReport, _disconnected_sections
 from nestohedra.constructions import (
     EMPTY, Prefix, _antichain_constructions, _block_fault, _f_vector_and_rank, _peel, _word,
-    make_sum)
+    _word_text, make_sum)
 from nestohedra.errors import BadFactorError, MalformedPosetError, NestohedraError
 from nestohedra.facelattice import _by_rank_and_label, _induced, _labelled
 from nestohedra.hypergraph import (
@@ -1180,6 +1180,8 @@ _ROWS = [
     Route("peel-constructions", enumerate_constructions, oracle_constructions, ATOMIC),
     Route("peel-constructs", enumerate_constructs, oracle_constructs, ATOMIC),
     Route("forests-and-words", _forests_and_words, oracle_forests_and_words, ATOMIC),
+    Route("word-text", lambda h: [_word_text(h, k) for k in _peel(h.members, False)],
+          lambda h: [str(_word(h, k)) for k in _peel(h.members, False)], ATOMIC),
     Route("antichain-constructions", lambda h: [_antichain_block(b) for b in _closure_blocks(h)],
           oracle_antichain_blocks, ("atomic", "random")),
     Route("count", count_constructions, lambda h: len(enumerate_constructions(h)), ATOMIC),

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import nestohedra
-from nestohedra import catalog, catalog_lookup, cli, constructions
+from nestohedra import catalog, catalog_lookup, cli, constructions, saturated_closure
 from nestohedra import facelattice as fl
 from nestohedra.cli import run
+from nestohedra.hypergraph import family_components
 
 from helpers import paper_a
 
@@ -105,6 +106,40 @@ class TestVerify:
         lines = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert ["H'_4321", "construction-oracle", "FAIL"] in lines
 
+    @staticmethod
+    def _failed(capsys):
+        return [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                if line.endswith(" FAIL")]
+
+    def test_count_recursion_catches_a_wrong_count(self, capsys, monkeypatch):
+        monkeypatch.delenv("NESTOHEDRA_COLOR", raising=False)
+        count = constructions._count
+        monkeypatch.setattr(constructions, "_count", lambda members: count(members) + 1)
+        assert run(["verify", "H'_4321"]) == 1
+        assert self._failed(capsys) == ["count-recursion"]
+
+    def test_construction_oracle_checks_every_block(self, capsys, monkeypatch):
+        monkeypatch.delenv("NESTOHEDRA_COLOR", raising=False)
+        # two blocks with two constructions each; the second is on u, z
+        h = catalog_lookup("H_4200").hypergraph
+        first, second = family_components(saturated_closure(h).members)
+        assert len(first) == len(second) == 3
+        # an unpatched run passes and leaves the whole entry's peel memoized,
+        # so the drop below reaches the second block's own check alone
+        assert run(["verify", "H_4200"]) == 0
+        capsys.readouterr()
+        peel = constructions._peel
+
+        def drop_one(members, constructs):
+            out = peel(members, constructs)
+            if members == second and not constructs:
+                return out[1:]
+            return out
+
+        monkeypatch.setattr(constructions, "_peel", drop_one)
+        assert run(["verify", "H_4200"]) == 1
+        assert self._failed(capsys) == ["construction-oracle"]
+
     def test_verify_axioms_json(self, capsys):
         assert run(["verify-axioms", "H_301"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -155,6 +190,23 @@ class TestCountsWithoutPoset:
         assert f[0] == 4862
         assert "rank: 8\n" in out
         assert f"f-vector: {','.join(map(str, f))}\n" in out
+
+
+class TestCatalogDigests:
+    """``enumerate`` and ``verify`` over the whole catalog: one digest of
+    each call's command, entry name, exit code and standard output."""
+
+    ENUMERATE_VERIFY_SHA256 = "f379ca53a75af4cc64de192db78427ec984f8628d288c42eb76ee321c4ca88e1"
+
+    def test_enumerate_and_verify_on_the_catalog(self, capsys, monkeypatch):
+        monkeypatch.delenv("NESTOHEDRA_COLOR", raising=False)
+        parts = []
+        for e in catalog():
+            for cmd in ("enumerate", "verify"):
+                code = run([cmd, e.name])
+                parts.append(f"{cmd} {e.name} {code}\n{capsys.readouterr().out}")
+        digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+        assert digest == self.ENUMERATE_VERIFY_SHA256
 
 
 class TestRealizeAndLattice:

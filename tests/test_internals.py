@@ -37,6 +37,7 @@ from nestohedra.constructions import (
     _incomparable,
     _masks_in,
     _read_forest,
+    _word_text,
     antichains_all_miss,
 )
 from nestohedra.axioms import (_disconnected_sections, _order_fault, _preamble,
@@ -233,7 +234,7 @@ class TestInvariantsUnderOptimize:
     """Internal invariants raise ``NestohedraError``; an ``assert`` would
     vanish under ``python -O``."""
 
-    @pytest.mark.parametrize("fn", [_read_forest, _block_fault, _masks_in, _fpoly,
+    @pytest.mark.parametrize("fn", [_read_forest, _word_text, _block_fault, _masks_in, _fpoly,
                                     _antichain_constructions, _coordinates, realize,
                                     _sums_fault,
                                     face_lattice_isomorphic,
