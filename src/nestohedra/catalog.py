@@ -47,7 +47,7 @@ _NAME_RE = re.compile(r"H((?:''|'|\*|°|pp|p|s|o)?)_(\d+)")
 def _normalize(name: str) -> str:
     """Canonical key for a catalog name; ASCII aliases are accepted
     (p for prime, s for star, o for the circle)."""
-    m = _NAME_RE.fullmatch(name.strip())
+    m = _NAME_RE.fullmatch(name.strip()) if isinstance(name, str) else None
     if not m:
         raise UnknownNameError(name)
     deco, digits = m.groups()

@@ -10,25 +10,25 @@ and the lattice operations read the rows.
 
 A nestohedron is a simple polytope, so the faces above a construct C
 are exactly the subfamilies of C that keep its b block carriers,
-2^(|C| - b) of them.  The builders give each member one bit and list
+2^(|C| - b) of them.  One builder gives each member one bit and lists
 each face's row in closed form, as the submasks of its members beyond
-those every face holds; ``abstract_polytope`` reads its covers off the
-rows, as the faces one rank up.  Other posets (sections, products,
-hand-built ones) get their covers by a generic scan.  No builder
-compares faces pairwise.
+those every face holds; ``abstract_polytope`` and ``facet_section``
+read their covers off the rows, as the faces one rank up.  Other posets
+(products, sections, hand-built ones) get their covers by a generic
+scan.  No builder compares faces pairwise.
 
 Faces sort by rank, then label; each poset labels its faces once, at
-build, and its sections and exports read those labels.
-``abstract_polytope`` takes its faces as member masks straight off the
-peeling recursion and joins each label from per-member texts made once
-per build; ``_labelled`` labels only the products of ``otimes``, the
+build, and its sections and exports read those labels.  The builder
+takes the faces as member masks (constructs, or products over one
+hypergraph of the factors' members) and joins each label from
+per-member texts made once per build; ``_labelled`` labels only the
 posets of ``from_covers`` and hand-built posets.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
     NotComparableError,
     NotFacetError,
 )
-from .hypergraph import AtomSet, Family, Hypergraph, members_within, set_sort_key
+from .hypergraph import Family, Hypergraph, members_within, set_sort_key
 from .constructions import _block_fault, _construct_masks, _ensure_asc, _masks_in
 
 
@@ -64,37 +64,17 @@ def face_label(face: Face) -> str:
 
 def _labelled(faces: Iterable[Face]) -> list[tuple[str, list[tuple[str, ...]] | None]]:
     """Each face's ``face_label`` and its members as sorted atom tuples,
-    in the label's order (None for the bottom and non-family payloads).
-    Every distinct member is sorted and printed once per call."""
-    seen: dict[AtomSet, tuple[tuple[int, tuple[str, ...]], str]] = {}
+    in the label's order (None for the bottom and non-family payloads)."""
     out: list[tuple[str, list[tuple[str, ...]] | None]] = []
     for face in faces:
         if face is BOTTOM:
             out.append(("F-1", None))
         elif isinstance(face, frozenset) and all(isinstance(m, frozenset) for m in face):
-            keyed = []
-            for m in face:
-                entry = seen.get(m)
-                if entry is None:
-                    key = set_sort_key(m)
-                    entry = seen[m] = (key, "{%s}" % ",".join(key[1]))
-                keyed.append(entry)
-            keyed.sort()
-            out.append(("{" + ",".join(text for _, text in keyed) + "}",
-                        [key[1] for key, _ in keyed]))
+            members = [key[1] for key in sorted(map(set_sort_key, face))]
+            out.append(("{" + ",".join("{%s}" % ",".join(m) for m in members) + "}", members))
         else:
             out.append((str(face), None))
     return out
-
-
-def _by_rank_and_label(faces_ranks: Iterable[tuple[Face, int]]) -> tuple[list, list, list]:
-    """Faces, ranks and ``_labelled`` entries sorted by (rank, label);
-    ties keep their input order."""
-    items = list(faces_ranks)
-    labels = _labelled(f for f, _ in items)
-    order = sorted(range(len(items)), key=lambda i: (items[i][1], labels[i][0]))
-    return ([items[i][0] for i in order], [items[i][1] for i in order],
-            [labels[i] for i in order])
 
 
 Row = tuple[int, ...]
@@ -112,9 +92,10 @@ class FacePoset:
     a row naming an unknown face or one face twice; the builders hand
     over sorted rows without repeats.  ``_covers`` (per face,
     the sorted indices of the faces covering it and of those it covers)
-    comes closed-form from ``abstract_polytope`` and from a generic scan
-    of the rows otherwise; it and the checkers' well-formedness verdict
-    (``_fault``, empty when well-formed) are kept once known.
+    comes closed-form from ``abstract_polytope`` and ``facet_section``
+    and from a generic scan of the rows otherwise; it and the checkers'
+    well-formedness verdict (``_fault``, empty when well-formed) are
+    kept once known.
     ``_labels`` holds each face's label and member atom tuples (a
     ``_labelled`` entry), made once: builders pass the labels they
     sorted by, else the constructor labels the faces.  Faces are
@@ -186,9 +167,11 @@ class FacePoset:
                     covers: Iterable[tuple[Face, Face]]) -> "FacePoset":
         """Build from covering pairs (lower, upper); the order is the
         reflexive transitive closure."""
-        faces, ranks, labels = _by_rank_and_label(faces_ranks)
+        items = list(faces_ranks)
+        faces, ranks = [f for f, _ in items], [r for _, r in items]
         n = len(faces)
-        index = cls._built(faces, ranks, [(i,) for i in range(n)], labels).index
+        unsorted = cls._built(faces, ranks, [(i,) for i in range(n)], None)  # labels once
+        index = unsorted.index
         succ: list[list[int]] = [[] for _ in range(n)]
         for a, b in [(index(a), index(b)) for a, b in covers]:  # raises on faces not listed
             succ[a].append(b)
@@ -201,7 +184,8 @@ class FacePoset:
                         seen.add(j)
                         todo.append(j)
             above.append(tuple(sorted(seen)))
-        return cls._built(faces, ranks, above, labels)
+        # sorted as sections are: by rank, then label, tied labels in input order
+        return _induced(cls._built(faces, ranks, above, unsorted._labels), range(n))
 
     # -- queries ----------------------------------------------------------
 
@@ -327,37 +311,27 @@ def _cover_scan(above: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[Row, ...]]
 # the face poset of a hypergraph
 # ---------------------------------------------------------------------------
 
-def abstract_polytope(h: Hypergraph) -> FacePoset:
-    """Constructs of ``h`` under reverse inclusion, plus a least face.
+def _mask_poset(h: Hypergraph, items: Sequence[tuple[int, Sequence[int]]]) -> FacePoset:
+    """The bottom, at rank -1, below one face per (rank, member masks)
+    item of ``h``, ordered by reverse inclusion.
 
-    A construct of cardinality c gets rank |carrier| - c; the bottom has
-    rank -1 and the set of connected components of the carrier sits on
-    top at rank |carrier| - (number of components).
-
-    The faces come off the peeling recursion as member masks.  The
-    members that occur are numbered once in label order
+    The members that occur are numbered once in label order
     (``set_sort_key``), each with its printed text and atom tuple, so a
     face's label joins its members' texts in numbering order and its key
     for ``_up_rows`` sets their bits; each face family is built once,
     after the faces are sorted by (rank, label).
-
-    The covers come in closed form: the faces covering a construct C are
-    C minus one member outside the top face, and the faces covering the
-    bottom are the constructions.  Both are exactly the faces one rank
-    up in the order, so each face covers the faces one rank down below it.
     """
-    constructs = _construct_masks(h)
-    n = h.n_atoms
-    named = sorted((set_sort_key(h.atom_set(m)), m) for m in frozenset().union(*constructs))
+    named = sorted((set_sort_key(h.atom_set(m)), m)
+                   for m in frozenset().union(*(c for _, c in items)))
     position = {m: k for k, (_, m) in enumerate(named)}
     bit = [1 << k for k in range(len(named))]
     atoms = [key[1] for key, _ in named]
     texts = ["{%s}" % ",".join(key[1]) for key, _ in named]
     # labels are distinct, so the sort never compares positions or constructs
     order = []
-    for c in constructs:
+    for rank, c in items:
         at = sorted(map(position.__getitem__, c))
-        order.append((n - len(c), "{%s}" % ",".join(map(texts.__getitem__, at)), at, c))
+        order.append((rank, "{%s}" % ",".join(map(texts.__getitem__, at)), at, c))
     order.sort()
     faces: list[Face] = [BOTTOM]
     ranks, keys, labels = [-1], [None], [("F-1", None)]
@@ -366,13 +340,32 @@ def abstract_polytope(h: Hypergraph) -> FacePoset:
         ranks.append(rank)
         keys.append(sum(map(bit.__getitem__, at)))
         labels.append((label, list(map(atoms.__getitem__, at))))
-    p = FacePoset._built(faces, ranks, _up_rows(keys), labels)
+    return FacePoset._built(faces, ranks, _up_rows(keys), labels)
+
+
+def _graded(p: FacePoset) -> FacePoset:
+    """``p`` with its covers read off its rows: the faces covering a
+    construct C are C minus one member outside the top face, and the
+    faces covering the bottom are the constructions, so each covers
+    the faces one rank down below it."""
     # faces sort by rank, so each row's faces one rank up are one slice
     start = {r: bisect_left(p.ranks, r) for r in range(-1, p.rank + 3)}
     up = tuple(row[bisect_left(row, start[r + 1]):bisect_left(row, start[r + 2])]
                for row, r in zip(p._above, p.ranks))
     p._covers = (up, _transpose(up))
     return p
+
+
+def abstract_polytope(h: Hypergraph) -> FacePoset:
+    """Constructs of ``h`` under reverse inclusion, plus a least face.
+
+    A construct of cardinality c gets rank |carrier| - c; the bottom has
+    rank -1 and the set of connected components of the carrier sits on
+    top at rank |carrier| - (number of components).  The faces come off
+    the peeling recursion as member masks, and the covers in closed form.
+    """
+    n = h.n_atoms
+    return _graded(_mask_poset(h, [(n - len(c), c) for c in _construct_masks(h)]))
 
 
 def f_vector(p: FacePoset) -> tuple[int, ...]:
@@ -412,7 +405,9 @@ def otimes(*posets: FacePoset) -> FacePoset:
     """Product of construct posets over pairwise disjoint carriers.
 
     Faces of rank >= 0 are the disjoint unions of rank >= 0 faces, the
-    bottoms are conflated, order is componentwise and rank adds.
+    bottoms are conflated, order is componentwise and rank adds.  It is
+    built on the member masks of one hypergraph of the factors' members;
+    hand-built factors rank freely, so the covers come from the scan.
     """
     if not posets:
         raise HypergraphError("otimes needs at least one poset")
@@ -423,20 +418,13 @@ def otimes(*posets: FacePoset) -> FacePoset:
             raise CarrierOverlapError(
                 f"carriers overlap on {sorted(atoms & seen)}")
         seen |= atoms
-    parts = []
-    for p in posets:
-        parts.append([(f, r) for f, r in zip(p.faces, p.ranks) if f is not BOTTOM])
-    faces_ranks: list[tuple[Face, int]] = [(BOTTOM, -1)]
-    for combo in product(*parts):
-        face = frozenset().union(*(f for f, _ in combo))
-        rank = sum(r for _, r in combo)
-        faces_ranks.append((face, rank))
-    faces, ranks, labels = _by_rank_and_label(faces_ranks)
-    members = frozenset().union(*(f for f in faces if f is not BOTTOM))
-    bit = {m: 1 << k for k, m in enumerate(members)}
-    keys = [None if f is BOTTOM else sum(map(bit.__getitem__, f)) for f in faces]
+    h = Hypergraph.from_sets({m for p in posets for f in p.faces if f is not BOTTOM for m in f})
+    parts = [[(r, tuple(map(h.mask, f))) for f, r in zip(p.faces, p.ranks) if f is not BOTTOM]
+             for p in posets]
+    items = [(sum(r for r, _ in combo), tuple(chain.from_iterable(c for _, c in combo)))
+             for combo in product(*parts)]
     # construct products are closed under subfamilies; _up_rows refuses other families
-    return FacePoset._built(faces, ranks, _up_rows(keys), labels)
+    return _mask_poset(h, items)
 
 
 def continuation(h: Hypergraph, y: Iterable[str],
@@ -475,17 +463,15 @@ def continuation(h: Hypergraph, y: Iterable[str],
 
 def facet_section(h: Hypergraph, y: Iterable[str]) -> FacePoset:
     """The section of the face poset at and below the facet {y, carrier}:
-    all constructs containing ``y``, plus the bottom.
-
-    Each call builds the whole ``abstract_polytope(h)``; to take the
-    section of every facet, build it once and call ``section`` on it
-    for each facet."""
+    all constructs containing ``y``, plus the bottom.  It is built from
+    those constructs alone, as ``abstract_polytope`` builds its poset,
+    and keeps their ranks."""
     _ensure_asc(h)
     ys = frozenset(y)
-    carrier = frozenset(h.atoms)
-    if ys not in h.member_sets or ys == carrier:
+    if ys not in h.member_sets or ys == frozenset(h.atoms):
         raise NotFacetError(f"{sorted(ys)} does not give a facet")
-    return section(abstract_polytope(h), frozenset({ys, carrier}), BOTTOM)
+    ymask, n = h.mask(ys), h.n_atoms
+    return _graded(_mask_poset(h, [(n - len(c), c) for c in _construct_masks(h) if ymask in c]))
 
 
 def section(p: FacePoset, g: Face, f: Face) -> FacePoset:

@@ -20,15 +20,16 @@ import pytest
 from nestohedra import (
     BOTTOM, FacePoset, abstract_polytope, bare_kernel, catalog, catalog_lookup, continuation,
     count_constructions, dispensable_subsets, enumerate_constructions, enumerate_constructs,
-    f_vector, face_label, face_lattice_isomorphic, finest_partition, is_asc, is_atomic,
-    is_construction, quotient, realize, restriction, saturated_closure, to_f_construction,
-    to_s_construction, verify_axioms, verify_inductive)
+    f_vector, face_label, face_lattice_isomorphic, facet_section, finest_partition, is_asc,
+    is_atomic, is_construction, otimes, quotient, realize, restriction, saturated_closure, section,
+    to_f_construction, to_s_construction, verify_axioms, verify_inductive)
 from nestohedra.axioms import VerificationReport, _disconnected_sections
 from nestohedra.constructions import (
     EMPTY, Prefix, _antichain_constructions, _block_fault, _f_vector_and_rank, _peel, _word,
     _word_text, make_sum)
-from nestohedra.errors import BadFactorError, MalformedPosetError, NestohedraError
-from nestohedra.facelattice import _by_rank_and_label, _induced, _labelled
+from nestohedra.errors import (
+    BadFactorError, CarrierOverlapError, HypergraphError, MalformedPosetError, NestohedraError)
+from nestohedra.facelattice import _induced, _labelled, _up_rows
 from nestohedra.hypergraph import (
     Hypergraph, bits_of, family_components, family_is_connected, family_union, mask_sort_key,
     members_within, set_sort_key)
@@ -726,6 +727,37 @@ def poset_isomorphic(p1: FacePoset, p2: FacePoset) -> bool:
     return backtrack(0)
 
 
+def is_isomorphism(p: FacePoset, q: FacePoset, phi: Callable) -> bool:
+    """Whether the face map ``phi`` is an isomorphism of ``p`` onto
+    ``q``: it sends the faces of ``p`` one-to-one onto those of ``q``
+    and the bottom to the bottom, keeps ranks, and sends each face's
+    up-set row onto its image's row."""
+    image = [phi(f) for f in p.faces]
+    if len(set(image)) != len(image) or set(image) != set(q.faces):
+        return False
+    at = [q.index(g) for g in image]
+    return (all((f is BOTTOM) == (g is BOTTOM) for f, g in zip(p.faces, image))
+            and [q.ranks[j] for j in at] == list(p.ranks)
+            and all({at[k] for k in row} == set(q._above[at[i]])
+                    for i, row in enumerate(p._above)))
+
+
+def facet_projection(y: frozenset) -> Callable:
+    """The map from the facet section at {y, carrier} onto restriction to
+    y x trace on the rest: a member inside y goes to itself, any other
+    member to its trace on the rest."""
+    return lambda face: face if face is BOTTOM else frozenset(m if m <= y else m - y
+                                                                for m in face)
+
+
+def drop_isolated(h: Hypergraph) -> Callable:
+    """The map from the face poset of ``h`` onto that of ``h`` without its
+    isolated atoms: it drops their singletons from every face."""
+    isolated = {m for m in h.member_sets
+                if len(m) == 1 and not any(m < x for x in h.member_sets)}
+    return lambda face: face if face is BOTTOM else face - isolated
+
+
 # ---------------------------------------------------------------------------
 # the differential corpus and the route table
 # ---------------------------------------------------------------------------
@@ -768,7 +800,8 @@ def tier(name: str) -> tuple[Hypergraph, ...]:
     """One tier of the corpus, without repeats: ``atomic`` (every atomic
     hypergraph on at most four atoms), ``non-atomic`` (the others on at
     most three), ``catalog`` (its atomic entries), ``graphs`` (path,
-    cycle, star and complete on n <= 7) or ``random`` (on 5-6 atoms)."""
+    cycle, star and complete on n <= 7), ``random`` (on 5-6 atoms) or
+    ``saturated`` (the closures of those four)."""
     if name == "atomic":
         hs = [h for k in range(5) for h in all_atomic_hypergraphs(k)]
     elif name == "non-atomic":
@@ -782,6 +815,9 @@ def tier(name: str) -> tuple[Hypergraph, ...]:
         for seed, draws in RANDOM_STREAMS.items():
             rng = random.Random(seed)
             hs += [random_atomic(rng, rng.choice((5, 6))) for _ in range(draws)]
+    elif name == "saturated":
+        hs = [saturated_closure(h) for t in ("atomic", "catalog", "graphs", "random")
+              for h in tier(t)]
     else:
         raise KeyError(name)
     return tuple(dict.fromkeys(hs))
@@ -938,7 +974,9 @@ def oracle_dense_order(faces_ranks):
     and the labels.  Each member gets the bitset of faces containing it;
     face j lies above face i exactly when j contains no member missing
     from i, and below it exactly when j contains every member of i."""
-    faces, ranks, labels = _by_rank_and_label(faces_ranks)
+    items = sorted(faces_ranks, key=lambda fr: (fr[1], face_label(fr[0])))
+    faces, ranks = [f for f, _ in items], [r for _, r in items]
+    labels = _labelled(faces)
     full = (1 << len(faces)) - 1
     non_bottom = full
     contains = {}
@@ -974,6 +1012,70 @@ def _dense_rows(h):
     faces, ranks, above, below, labels = oracle_dense_order(construct_faces(h))
     return (faces, ranks, tuple(tuple(bits_of(m)) for m in above),
             tuple(tuple(bits_of(m)) for m in below), tuple(labels))
+
+
+def _poset_fields(p):
+    """What a poset's readers see: faces, ranks, up-set rows, labels and
+    cover rows."""
+    return p.faces, p.ranks, p._above, p._labels, p._cover_rows()
+
+
+def _blocks(h):
+    return sorted(finest_partition(h), key=lambda b: b.atoms)
+
+
+def _facets(h):
+    """(block, y) for every facet of every block of the saturated ``h``:
+    each member y of the block but its carrier."""
+    return [(b, y) for b in _blocks(h)
+            for y in sorted(b.member_sets - {frozenset(b.atoms)}, key=set_sort_key)]
+
+
+def oracle_facet_sections(h):
+    """Each facet section cut out of the whole poset by the generic
+    ``section``."""
+    return [_poset_fields(section(_poset(b), frozenset({y, frozenset(b.atoms)}), BOTTOM))
+            for b, y in _facets(h)]
+
+
+@functools.lru_cache(maxsize=1)
+def _product_factors(h):
+    """The factor posets of the ``products`` row, built once for both of
+    its sides: the posets of the blocks of the saturated ``h``, then
+    restriction x trace for every facet of ``_facets(h)``."""
+    blocks = [tuple(map(abstract_polytope, _blocks(h)))] if h.members else []
+    return blocks + [tuple(map(abstract_polytope, _factors(b, y))) for b, y in _facets(h)]
+
+
+def reference_otimes(*posets):
+    """``otimes`` on name families: the product faces are unions of the
+    factors' faces, sorted by (rank, label) with ties in input order,
+    and keyed for ``_up_rows`` by one bit per distinct member."""
+    if not posets:
+        raise HypergraphError("otimes needs at least one poset")
+    seen: set[str] = set()
+    for p in posets:
+        atoms = {a for f in p.faces if f is not BOTTOM for m in f for a in m}
+        if atoms & seen:
+            raise CarrierOverlapError(
+                f"carriers overlap on {sorted(atoms & seen)}")
+        seen |= atoms
+    parts = []
+    for p in posets:
+        parts.append([(f, r) for f, r in zip(p.faces, p.ranks) if f is not BOTTOM])
+    faces_ranks = [(BOTTOM, -1)]
+    for combo in itertools.product(*parts):
+        face = frozenset().union(*(f for f, _ in combo))
+        rank = sum(r for _, r in combo)
+        faces_ranks.append((face, rank))
+    labels = _labelled(f for f, _ in faces_ranks)
+    order = sorted(range(len(faces_ranks)), key=lambda i: (faces_ranks[i][1], labels[i][0]))
+    faces, ranks, labels = ([faces_ranks[i][0] for i in order],
+                            [faces_ranks[i][1] for i in order], [labels[i] for i in order])
+    members = frozenset().union(*(f for f in faces if f is not BOTTOM))
+    bit = {m: 1 << k for k, m in enumerate(members)}
+    keys = [None if f is BOTTOM else sum(map(bit.__getitem__, f)) for f in faces]
+    return FacePoset._built(faces, ranks, _up_rows(keys), labels)
 
 
 @functools.cache
@@ -1196,6 +1298,11 @@ _ROWS = [
                                     p._below, p._labels), _dense_rows, ATOMIC),
     Route("build-time-shortcuts", lambda h: (_poset(h)._below, _poset(h)._covers,
                                              _poset(h)._labels), oracle_transposes, ATOMIC),
+    Route("facet-sections", lambda h: [_poset_fields(facet_section(b, y)) for b, y in _facets(h)],
+          oracle_facet_sections, ("saturated",)),
+    Route("products", lambda h: [_poset_fields(otimes(*ps)) for ps in _product_factors(h)],
+          lambda h: [_poset_fields(reference_otimes(*ps)) for ps in _product_factors(h)],
+          ("saturated",), 5),
     Route("continuation", lambda h: _outcomes(continuation, h),
           lambda h: _outcomes(oracle_continuation, h), ("atomic",)),
     Route("coordinates", lambda h: [coords for _, coords in _peeled_coordinates(h)],

@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -31,16 +32,19 @@ from nestohedra import (
 from nestohedra.errors import (
     BadFactorError,
     CarrierOverlapError,
+    DuplicateMemberError,
     HypergraphError,
     NestohedraError,
     NotComparableError,
     NotFacetError,
 )
+from nestohedra import facelattice
 from nestohedra.constructions import _f_vector_and_rank
 from nestohedra.facelattice import to_dot, to_json_dict
 
-from helpers import (L, M, N, _outcomes, abar, all_asc_hypergraphs, check, diamond_poset,
-                     frozen, graph, paper_a, poset_isomorphic, tier)
+from helpers import (L, M, N, _facets, _factors, _outcomes, _poset_fields, abar,
+                     all_asc_hypergraphs, check, diamond_poset, facet_projection, frozen, graph,
+                     is_isomorphism, paper_a, poset_isomorphic, tier)
 
 
 ALPHA = frozenset("xyzu")
@@ -234,9 +238,43 @@ class TestOtimes:
 
     def test_factor_not_closed_under_subfamilies(self):
         # the diamond's string payloads read as families of letters: "top"
-        # holds {t, o, p}, but no face is {t, o}
-        with pytest.raises(NestohedraError, match="^the faces are not closed under subfamilies"):
+        # holds {t, o, p}, but no face is {t, o}; type and message are
+        # those of the build on name families
+        with pytest.raises(NestohedraError) as err:
             otimes(diamond_poset())
+        assert type(err.value) is NestohedraError
+        assert str(err.value) == ("the faces are not closed under subfamilies that keep "
+                                  "the members all faces share")
+
+    def test_string_payloads_become_letter_families(self):
+        # outside the documented domain: string payloads closed letter-wise
+        # were unions of letters labelled by str(); they are now families
+        # of one-letter members, labelled as constructs
+        p = FacePoset([BOTTOM, "zxy", "zx", "zy", "z"], [-1, 0, 1, 1, 2],
+                      [(0, 1, 2, 3, 4), (1, 2, 3, 4), (2, 4), (3, 4), (4,)])
+        q = otimes(p)
+        assert q.faces == (BOTTOM, frozen("x", "y", "z"), frozen("x", "z"), frozen("y", "z"),
+                           frozen("z"))
+        assert [label for label, _ in q._labels] == [
+            "F-1", "{{x},{y},{z}}", "{{x},{z}}", "{{y},{z}}", "{{z}}"]
+        assert q._above == ((0, 1, 2, 3, 4), (1, 2, 3, 4), (2, 4), (3, 4), (4,))
+
+    def test_string_and_set_of_one_letter_are_one_member(self):
+        # outside the documented domain: a string member "x" beside the
+        # member {"x"} gave the closure error; both now read as the member
+        # {x}, which the factors' hypergraph refuses as a duplicate
+        p = FacePoset([BOTTOM, frozenset({"x", "y"}), frozen("x", "xy")], [-1, 0, 1],
+                      [(0, 1, 2), (1, 2), (2,)])
+        with pytest.raises(DuplicateMemberError, match=r"^duplicate member \['x'\]$"):
+            otimes(p)
+
+    def test_negative_rank_faces_sort_after_the_bottom(self):
+        # outside the documented domain: a face ranked below -1 sorted
+        # before the bottom; the bottom now comes first
+        q = otimes(FacePoset([BOTTOM, frozen("x")], [-1, -2], [(0, 1), (1,)]))
+        assert q.faces == (BOTTOM, frozen("x"))
+        assert q.ranks == (-1, -2)
+        assert q._above == ((0, 1), (1,))
 
     def test_matches_component_product(self):
         import helpers
@@ -367,6 +405,13 @@ class TestContinuationAtLargerScale:
                 assert continuation(h, y, k, j) == ell
 
 
+@functools.cache
+def _section_product(h, y):
+    """Restriction to y x trace on the rest, as posets; built once for
+    both tests that read it."""
+    return otimes(*map(abstract_polytope, _factors(h, y)))
+
+
 class TestFacetSection:
     def test_pentagon_facet(self):
         p = facet_section(abar(), frozenset("u"))
@@ -384,16 +429,33 @@ class TestFacetSection:
         assert p.rank == 0 and len(p.faces) == 2
 
     def test_isomorphic_to_product(self):
-        # one build per hypergraph; test_agrees_with_generic_section pins
-        # facet_section to this section
+        # the paper's projection is an isomorphism onto the product
         for h in all_asc_hypergraphs(4):
-            carrier = frozenset(h.atoms)
-            p = abstract_polytope(h)
-            for y in h.member_sets - {carrier}:
-                rest = carrier - y
-                prod = otimes(abstract_polytope(restriction(h, y)),
-                              abstract_polytope(quotient(h, rest)))
-                assert poset_isomorphic(section(p, frozenset({y, carrier}), BOTTOM), prod)
+            for _, y in _facets(h):
+                assert is_isomorphism(facet_section(h, y), _section_product(h, y),
+                                      facet_projection(y))
+
+    def test_wrong_facet_refused(self):
+        # into the next facet's product the projection is refused,
+        # unless the two products are equal posets
+        for h in all_asc_hypergraphs(4):
+            ys = [y for _, y in _facets(h)]
+            prods = [_section_product(h, y) for y in ys]
+            for k, y in enumerate(ys[1:]):
+                assert is_isomorphism(facet_section(h, y), prods[k], facet_projection(y)) \
+                    == (prods[k] == prods[k + 1])
+
+    def test_builds_only_its_own_faces(self, monkeypatch):
+        h = abar()
+        p = abstract_polytope(h)
+        want = {y: section(p, frozenset({y, ALPHA}), BOTTOM) for _, y in _facets(h)}
+
+        def whole_poset(_):
+            raise AssertionError("facet_section built the whole poset")
+
+        monkeypatch.setattr(facelattice, "abstract_polytope", whole_poset)
+        for y, s in want.items():
+            assert _poset_fields(facet_section(h, y)) == _poset_fields(s)
 
     def test_not_facet(self):
         with pytest.raises(NotFacetError):

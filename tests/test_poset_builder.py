@@ -27,6 +27,7 @@ from nestohedra import (
     facet_section,
     is_atomic,
     otimes,
+    saturated_closure,
     section,
     verify_axioms,
     verify_inductive,
@@ -36,7 +37,7 @@ from nestohedra.facelattice import _induced, _labelled, _transpose, to_dot, to_j
 from nestohedra.constructions import _fpoly
 from nestohedra.hypergraph import family_components, set_sort_key
 
-from helpers import (KINDS, _reports, _reverse_inclusion, all_asc_hypergraphs,
+from helpers import (KINDS, _reports, _reverse_inclusion, abar, all_asc_hypergraphs,
                      all_atomic_hypergraphs, check, construct_faces, diamond_poset, graph,
                      negative_posets, kept_ids, paper_a, pairwise_order, reference_order_fault,
                      reference_verify_axioms, reference_verify_inductive)
@@ -143,9 +144,9 @@ class TestBuildTimeShortcuts(kept_ids("build-time-shortcuts")):
 
 class TestLabelledOnce:
     """Each poset labels its faces once, where its builder sorts them;
-    sections and exports read the kept table.  ``abstract_polytope``
-    joins its labels from per-member texts and never calls
-    ``_labelled``."""
+    sections and exports read the kept table.  ``abstract_polytope``,
+    ``facet_section`` and ``otimes`` join their labels from per-member
+    texts and never call ``_labelled``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -166,6 +167,15 @@ class TestLabelledOnce:
                 to_dot(s)
                 to_json_dict(s)
             assert calls == []
+
+    def test_facet_sections_and_products(self, calls):
+        for h in (abar(), saturated_closure(graph("cycle", 4))):
+            for y in h.member_sets - {frozenset(h.atoms)}:
+                to_json_dict(facet_section(h, y))
+        point = abstract_polytope(Hypergraph.from_sets([{"u"}]))
+        for kind in ("path", "complete"):
+            to_json_dict(otimes(abstract_polytope(graph(kind, 3)), point))
+        assert calls == []
 
     def test_from_covers(self, calls):
         for build in (diamond_poset, lambda: FacePoset.from_covers([("bot", -1)], [])):
