@@ -142,10 +142,11 @@ def _disconnected_sections(p: FacePoset, up: Sequence[Row],
     open interval is connected exactly when the coatoms' atom sets,
     merged while any two overlap, become one set: all the atoms.  The
     covers of f are numbered locally, and each face above f gets the
-    small mask of those lying below it (-1 marks the faces not above f).
+    small mask of those lying below it and ``f`` as its owner, so a
+    coatom lies above f exactly when f owns it.
     """
     ranks, above = p.ranks, p._above
-    atoms_below = [-1] * len(p.faces)
+    atoms_below, owner = [0] * len(p.faces), [-1] * len(p.faces)
     checked = 0
     failed: list[tuple[int, int]] = []
     for f, above_f in enumerate(above):
@@ -155,13 +156,14 @@ def _disconnected_sections(p: FacePoset, up: Sequence[Row],
             continue
         for x in above_f:
             atoms_below[x] = 0
+            owner[x] = f
         for t, u in enumerate(up[f]):
             for x in above[u]:
                 atoms_below[x] |= 1 << t
         for g in tops:
             checked += 1
             # when g covers f, f is the only coatom and the interval is empty
-            sets = [atoms_below[c] for c in down[g] if atoms_below[c] >= 0]
+            sets = [atoms_below[c] for c in down[g] if owner[c] == f]
             if len(sets) <= 1:
                 continue
             lows = atoms_below[g]
@@ -173,8 +175,6 @@ def _disconnected_sections(p: FacePoset, up: Sequence[Row],
                         merged |= atoms
             if merged != lows:
                 failed.append((f, g))
-        for x in above_f:
-            atoms_below[x] = -1
     return checked, failed
 
 
@@ -186,32 +186,28 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
     r = p.rank
     ranks = p.ranks
 
-    # flags: maximal chains along covers from the minimal faces.  Each
-    # face keeps the lengths of the chains from it to a maximal face,
-    # with their numbers, so no flag is walked one by one.
+    # flags: maximal chains along covers from the minimal faces, counted
+    # top down by rank: bit L of lengths[i] is set when a chain of L faces
+    # runs from face i to a maximal face, and counts[i] numbers them all.
     up, down = p._cover_rows()
-    tails: list[dict[int, int]] = [{}] * n
+    lengths, counts = [2] * n, [1] * n
     for i in sorted(range(n), key=lambda i: -ranks[i]):
-        if not up[i]:
-            tails[i] = {1: 1}
-            continue
-        tail: dict[int, int] = {}
-        for j in up[i]:
-            for length, count in tails[j].items():
-                tail[length + 1] = tail.get(length + 1, 0) + count
-        tails[i] = tail
+        if up[i]:
+            mask = total = 0
+            for j in up[i]:
+                mask |= lengths[j]
+                total += counts[j]
+            lengths[i], counts[i] = mask << 1, total
     minimals = [i for i in range(n) if not down[i]]
-    expected = r + 2
-    flags_checked = sum(sum(tails[i].values()) for i in minimals)
-    p2 = all(tails[i].keys() == {expected} for i in minimals)
+    # P2 asks every flag for r + 2 faces; no chain has fewer than one
+    single = 1 << (r + 2) if r + 2 > 0 else 0
+    flags_checked = sum(counts[i] for i in minimals)
+    p2 = all(lengths[i] == single for i in minimals)
     if not p2:
         # the first bad flag in depth-first order, last cover first
-        def bad(i: int, depth: int) -> bool:
-            return any(depth + length != expected for length in tails[i])
-
-        i, depth = next(i for i in reversed(minimals) if bad(i, 0)), 1
+        i, depth = next(i for i in reversed(minimals) if lengths[i] != single), 1
         while up[i]:
-            i = next(j for j in reversed(up[i]) if bad(j, depth))
+            i = next(j for j in reversed(up[i]) if lengths[j] << depth != single)
             depth += 1
         counter.append(("P2", (p._labels[i][0], f"length {depth}")))
 

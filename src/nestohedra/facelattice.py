@@ -4,9 +4,9 @@ The faces are the constructs ordered by reverse inclusion, below a
 distinguished bottom face.  The bottom is a sentinel variant rather than
 a family with an extra marker element, so it can never collide with a
 construct.  The poset stores its order as sparse rows: per face, the
-sorted tuple of the indices of the faces above it; the transpose of
-those rows, the faces below, is made on first read.  Covers, sections
-and the lattice operations read the rows.
+sorted tuple of the indices of the faces above it.  Covers, sections,
+``top`` and the lattice operations read the rows; ``meet``, ``section``
+and a failing inductive check also read their transpose, made once.
 
 A nestohedron is a simple polytope, so the faces above a construct C
 are exactly the subfamilies of C that keep its b block carriers,
@@ -85,8 +85,8 @@ class FacePoset:
 
     ``_above[i]`` is the sorted tuple of the indices j with face_i <=
     face_j (i included); ``_below`` is its transpose, made on first
-    read (the exports and ``otimes`` never read it, nor do the axiom
-    checkers on a well-formed poset).  The public constructor takes one
+    read by ``meet``, ``section`` or ``verify_inductive`` naming a face
+    no facet covers.  The public constructor takes one
     rank and one row of face indices per face, in any order, and raises
     ``MalformedPosetError`` on a count that does not match the faces or
     a row naming an unknown face or one face twice; the builders hand
@@ -210,11 +210,8 @@ class FacePoset:
         return tuple(f for f, r in zip(self.faces, self.ranks) if r == k)
 
     def top(self) -> Face | None:
-        n = len(self.faces)
-        for i, row in enumerate(self._below):
-            if len(row) == n:
-                return self.faces[i]
-        return None
+        common = set(range(len(self.faces))).intersection(*self._above)
+        return self.faces[min(common)] if common else None
 
     def _cover_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
         """Per face, the sorted indices of the faces covering it (up) and
@@ -413,7 +410,12 @@ def otimes(*posets: FacePoset) -> FacePoset:
         raise HypergraphError("otimes needs at least one poset")
     seen: set[str] = set()
     for p in posets:
-        atoms = {a for f in p.faces if f is not BOTTOM for m in f for a in m}
+        atoms: set[str] = set()
+        for f, (label, _) in zip(p.faces, p._labels):
+            try:
+                atoms.update(*(() if f is BOTTOM else f))
+            except TypeError:
+                raise BadFactorError(f"face {label} is not a family of atom sets") from None
         if atoms & seen:
             raise CarrierOverlapError(
                 f"carriers overlap on {sorted(atoms & seen)}")

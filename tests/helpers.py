@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from math import comb
 from operator import eq
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import pytest
 
@@ -23,13 +23,13 @@ from nestohedra import (
     f_vector, face_label, face_lattice_isomorphic, facet_section, finest_partition, is_asc,
     is_atomic, is_construction, otimes, quotient, realize, restriction, saturated_closure, section,
     to_f_construction, to_s_construction, verify_axioms, verify_inductive)
-from nestohedra.axioms import VerificationReport, _disconnected_sections
+from nestohedra.axioms import VerificationReport
 from nestohedra.constructions import (
     EMPTY, Prefix, _antichain_constructions, _block_fault, _f_vector_and_rank, _peel, _word,
     _word_text, make_sum)
 from nestohedra.errors import (
     BadFactorError, CarrierOverlapError, HypergraphError, MalformedPosetError, NestohedraError)
-from nestohedra.facelattice import _induced, _labelled, _up_rows
+from nestohedra.facelattice import Row, _induced, _labelled, _up_rows
 from nestohedra.hypergraph import (
     Hypergraph, bits_of, family_components, family_is_connected, family_union, mask_sort_key,
     members_within, set_sort_key)
@@ -515,6 +515,54 @@ def _reference_preamble(p: FacePoset, label: str) -> tuple[bool, list[tuple[str,
     return bounded, counter
 
 
+def _reference_disconnected_sections(p: FacePoset, up: Sequence[Row],
+                                     down: Sequence[Row]) -> tuple[int, list[tuple[int, int]]]:
+    """The number of sections of rank >= 2 checked for strong
+    connectedness, and the (f, g) index pairs of those that fail, in order.
+
+    Every face strictly between f and g lies above an atom (a cover of f
+    below g) and below a coatom (a face covered by g above f), so the
+    open interval is connected exactly when the coatoms' atom sets,
+    merged while any two overlap, become one set: all the atoms.  The
+    covers of f are numbered locally, and each face above f gets the
+    small mask of those lying below it (-1 marks the faces not above f).
+    The version that resets every mask to -1 after each f:
+    ``axioms._disconnected_sections``'s reference.
+    """
+    ranks, above = p.ranks, p._above
+    atoms_below = [-1] * len(p.faces)
+    checked = 0
+    failed: list[tuple[int, int]] = []
+    for f, above_f in enumerate(above):
+        floor = ranks[f] + 3
+        tops = [g for g in above_f if ranks[g] >= floor]
+        if not tops:
+            continue
+        for x in above_f:
+            atoms_below[x] = 0
+        for t, u in enumerate(up[f]):
+            for x in above[u]:
+                atoms_below[x] |= 1 << t
+        for g in tops:
+            checked += 1
+            # when g covers f, f is the only coatom and the interval is empty
+            sets = [atoms_below[c] for c in down[g] if atoms_below[c] >= 0]
+            if len(sets) <= 1:
+                continue
+            lows = atoms_below[g]
+            merged, last = sets[0], 0
+            while merged != last and merged != lows:
+                last = merged
+                for atoms in sets:
+                    if atoms & merged:
+                        merged |= atoms
+            if merged != lows:
+                failed.append((f, g))
+        for x in above_f:
+            atoms_below[x] = -1
+    return checked, failed
+
+
 def reference_verify_axioms(p: FacePoset) -> VerificationReport:
     """Check the least/greatest, flag-length, strong-connectedness and
     diamond properties, reporting witnesses for each failure: the
@@ -555,7 +603,7 @@ def reference_verify_axioms(p: FacePoset) -> VerificationReport:
         counter.append(("P2", (p._labels[i][0], f"length {depth}")))
 
     # strong connectedness: only sections of rank >= 2 need a check
-    sections_checked, disconnected = _disconnected_sections(p, up, down)
+    sections_checked, disconnected = _reference_disconnected_sections(p, up, down)
     p3 = not disconnected
     for f, g in disconnected:
         counter.append(("P3", (p._labels[f][0], p._labels[g][0])))

@@ -54,6 +54,7 @@ class TestAccepts:
         for h in (paper_a(), *(graph(kind, 5) for kind in KINDS)):
             p = abstract_polytope(h)
             assert verify_axioms(p).ok and verify_inductive(p).ok
+            assert p.top() is p.faces[-1]
             assert p._down is None
 
     def test_flag_count_matches_vertex_orders(self):
@@ -146,6 +147,26 @@ class TestVerdicts:
             "counterexamples": [
                 {"property": "P3", "witnesses": ["bot", "top"]},
             ]}
+
+
+    # below rank -1 no flag has r + 2 faces, and the report names the
+    # first short flag without a negative shift
+    @pytest.mark.parametrize("faces, ranks, above, witnesses", [
+        (["a"], [-3], [(0,)], ["a", "length 1"]),
+        (["a", "b"], [-3, -2], [(0, 1), (1,)], ["b", "length 2"]),
+    ], ids=["one-face", "two-faces"])
+    def test_ranks_below_minus_one(self, faces, ranks, above, witnesses):
+        p = FacePoset(faces, ranks, above)
+        assert verify_axioms(p).to_dict() == {
+            "ok": False, "p1_ok": True, "p2_ok": False, "p3_ok": True, "p4_ok": True,
+            "rank": ranks[-1], "flags_checked": 1, "sections_checked": 0,
+            "counterexamples": [{"property": "P2", "witnesses": witnesses}]}
+
+    def test_empty_poset(self):
+        assert verify_axioms(FacePoset([], [], [])).to_dict() == {
+            "ok": False, "p1_ok": False, "p2_ok": True, "p3_ok": True, "p4_ok": True,
+            "rank": -1, "flags_checked": 0, "sections_checked": 0,
+            "counterexamples": [{"property": "P1", "witnesses": []}]}
 
 
 class TestEquivalence:

@@ -268,6 +268,16 @@ class TestOtimes:
         with pytest.raises(DuplicateMemberError, match=r"^duplicate member \['x'\]$"):
             otimes(p)
 
+    @pytest.mark.parametrize("face, label", [(5, "5"), (("a", 1), "('a', 1)")],
+                             ids=["int", "tuple-with-int"])
+    def test_face_that_is_no_family_of_atom_sets(self, face, label):
+        # outside the documented domain: a payload with an int where a
+        # member or an atom set should be raised a bare TypeError
+        p = FacePoset([BOTTOM, face], [-1, 0], [(0, 1), (1,)])
+        with pytest.raises(BadFactorError) as err:
+            otimes(abstract_polytope(Hypergraph.from_sets([{"x"}])), p)
+        assert str(err.value) == f"face {label} is not a family of atom sets"
+
     def test_negative_rank_faces_sort_after_the_bottom(self):
         # outside the documented domain: a face ranked below -1 sorted
         # before the bottom; the bottom now comes first

@@ -47,7 +47,7 @@ from nestohedra.realization import _coordinates, _sums_fault
 from nestohedra.hypergraph import _AtomSets, family_components
 from nestohedra.tubings import _is_tubing
 
-from helpers import poset_isomorphic
+from helpers import graph, negative_posets, poset_isomorphic
 
 
 def _naive_all_miss(members, fam):
@@ -275,6 +275,32 @@ class TestInvariantsUnderOptimize:
         assert incidence == [list(r) for r in rp.incidence]
         assert len(path_vertices) == 132
         assert len(orphan_vertices) == 8
+
+    def test_checkers_under_optimize(self):
+        # both checkers' reports, whole, on the negative corpus and path 5
+        code = textwrap.dedent("""
+            import json
+            from helpers import graph, negative_posets
+            from nestohedra import abstract_polytope, verify_axioms, verify_inductive
+            posets = [*negative_posets(), ("path 5", abstract_polytope(graph("path", 5)))]
+            print(json.dumps([__debug__, [[name, verify_axioms(p).to_dict(),
+                                           verify_inductive(p).to_dict()]
+                                          for name, p in posets]]))
+            """)
+        path = os.pathsep.join([str(Path(nestohedra.__file__).parents[1]),
+                                str(Path(__file__).parent)])
+        env = dict(os.environ, PYTHONPATH=path)
+        runs = [json.loads(subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                                          capture_output=True, text=True, timeout=120,
+                                          check=True).stdout)
+                for flags in ([], ["-O"])]
+        assert [r[0] for r in runs] == [True, False]
+        assert runs[1][1] == runs[0][1]
+        posets = [*negative_posets(), ("path 5", abstract_polytope(graph("path", 5)))]
+        assert runs[0][1] == [[name, verify_axioms(p).to_dict(), verify_inductive(p).to_dict()]
+                              for name, p in posets]
+        verdicts = [[a["ok"], b["ok"]] for _, a, b in runs[0][1]]
+        assert verdicts == [[False, False]] * 7 + [[True, True]]
 
     def test_tubing_check_under_optimize(self):
         # the report on complete 5, then the internal-error path, reached by

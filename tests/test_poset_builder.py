@@ -479,6 +479,26 @@ def test_checker_reports_match_references_on_hand_built_posets():
             _reports(q, reference_verify_axioms, reference_verify_inductive)
 
 
+def _transposed_top(p):
+    """The first face whose transposed row holds every face."""
+    n = len(p.faces)
+    return next((p.faces[i] for i, row in enumerate(_transpose(p._above)) if len(row) == n),
+                None)
+
+
+def test_top_matches_transposed_rows():
+    posets = [p for _, p in negative_posets()]
+    posets += [diamond_poset(), FacePoset([], [], [])]
+    posets += [random_ranked_poset(random.Random(seed)) for seed in range(200)]
+    # rows that leave out their own face: every row holds b, every row a,
+    # then every row both b and c, where the smaller index is the top
+    posets += [FacePoset("ab", [0, 1], [(1,), (1,)]), FacePoset("ab", [0, 1], [(0, 1), (0,)]),
+               FacePoset("abc", [0, 1, 2], [(1, 2), (1, 2), (1, 2)])]
+    for p in posets:
+        assert p.top() == _transposed_top(p)
+    assert [p.top() for p in posets[-3:]] == ["b", "a", "b"]
+
+
 def _random_relation(rng):
     """Faces, ranks and rows of up to six faces: the reflexive closure
     of random edges (half the time only edges up the ranks), now and
