@@ -146,7 +146,7 @@ def _disconnected_sections(p: FacePoset, up: Sequence[Row],
     coatom lies above f exactly when f owns it.
     """
     ranks, above = p.ranks, p._above
-    atoms_below, owner = [0] * len(p.faces), [-1] * len(p.faces)
+    atoms_under, owner = [0] * len(p.faces), [-1] * len(p.faces)
     checked = 0
     failed: list[tuple[int, int]] = []
     for f, above_f in enumerate(above):
@@ -155,18 +155,18 @@ def _disconnected_sections(p: FacePoset, up: Sequence[Row],
         if not tops:
             continue
         for x in above_f:
-            atoms_below[x] = 0
+            atoms_under[x] = 0
             owner[x] = f
         for t, u in enumerate(up[f]):
             for x in above[u]:
-                atoms_below[x] |= 1 << t
+                atoms_under[x] |= 1 << t
         for g in tops:
             checked += 1
             # when g covers f, f is the only coatom and the interval is empty
-            sets = [atoms_below[c] for c in down[g] if owner[c] == f]
+            sets = [atoms_under[c] for c in down[g] if owner[c] == f]
             if len(sets) <= 1:
                 continue
-            lows = atoms_below[g]
+            lows = atoms_under[g]
             merged, last = sets[0], 0
             while merged != last and merged != lows:
                 last = merged
@@ -249,8 +249,9 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
     down-sets must be the one- and two-face base posets.  Ranks rise
     strictly along the order, so a face's facets are its down-covers
     one rank down, and their ridges are theirs; the down-covers also
-    give the base cases, and the faces below are read only to name a
-    face no facet covers.
+    give the base cases.  A face no facet covers is named from the
+    up-set rows: the first other face whose row holds the face but none
+    of its facets.
     """
     p1, counter = _preamble(p, "bounds")
     n = len(p.faces)
@@ -287,8 +288,8 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
         missing: list[int] = []
         if len(facets) != len(down[i]):
             p2 = False
-            covered = set().union(*(p._below[f] for f in facets))
-            missing = [j for j in p._below[i] if j != i and j not in covered]
+            missing = [j for j, row in enumerate(p._above)
+                       if j != i and i in row and not any(f in row for f in facets)]
             counter.append(("facet-coverage", (p._labels[i][0], p._labels[missing[0]][0])))
         # the rank k-2 faces below i, each with the mask of the facets
         # holding it (facet t is bit t): the facets' own facets, and the

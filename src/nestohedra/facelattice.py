@@ -3,10 +3,10 @@
 The faces are the constructs ordered by reverse inclusion, below a
 distinguished bottom face.  The bottom is a sentinel variant rather than
 a family with an extra marker element, so it can never collide with a
-construct.  The poset stores its order as sparse rows: per face, the
-sorted tuple of the indices of the faces above it.  Covers, sections,
-``top`` and the lattice operations read the rows; ``meet``, ``section``
-and a failing inductive check also read their transpose, made once.
+construct.  The poset stores its order once, as sparse rows: per face,
+the sorted tuple of the indices of the faces above it.  Covers,
+sections, ``top``, the lattice operations and the checkers read those
+rows; no transpose of them is kept.
 
 A nestohedron is a simple polytope, so the faces above a construct C
 are exactly the subfamilies of C that keep its b block carriers,
@@ -58,18 +58,20 @@ Face = object  # BOTTOM or a Family (frozenset of frozensets of atoms)
 
 def face_label(face: Face) -> str:
     """Canonical printable form; members sort by cardinality then atoms.
-    Non-family payloads (hand-built posets) fall back to ``str``."""
+    Other payloads (hand-built posets), families of non-string atoms
+    among them, fall back to ``str``."""
     return _labelled([face])[0][0]
 
 
 def _labelled(faces: Iterable[Face]) -> list[tuple[str, list[tuple[str, ...]] | None]]:
     """Each face's ``face_label`` and its members as sorted atom tuples,
-    in the label's order (None for the bottom and non-family payloads)."""
+    in the label's order (None for the bottom and other payloads)."""
     out: list[tuple[str, list[tuple[str, ...]] | None]] = []
     for face in faces:
         if face is BOTTOM:
             out.append(("F-1", None))
-        elif isinstance(face, frozenset) and all(isinstance(m, frozenset) for m in face):
+        elif isinstance(face, frozenset) and all(isinstance(m, frozenset) for m in face) \
+                and all(isinstance(a, str) for a in chain.from_iterable(face)):
             members = [key[1] for key in sorted(map(set_sort_key, face))]
             out.append(("{" + ",".join("{%s}" % ",".join(m) for m in members) + "}", members))
         else:
@@ -84,10 +86,9 @@ class FacePoset:
     """A finite poset with declared integer ranks.
 
     ``_above[i]`` is the sorted tuple of the indices j with face_i <=
-    face_j (i included); ``_below`` is its transpose, made on first
-    read by ``meet``, ``section`` or ``verify_inductive`` naming a face
-    no facet covers.  The public constructor takes one
-    rank and one row of face indices per face, in any order, and raises
+    face_j (i included), the poset's only copy of its order.  The public
+    constructor takes one rank and one row of face indices per face, in
+    any order, and raises
     ``MalformedPosetError`` on a count that does not match the faces or
     a row naming an unknown face or one face twice; the builders hand
     over sorted rows without repeats.  ``_covers`` (per face,
@@ -103,8 +104,7 @@ class FacePoset:
     hand-built posets may use any hashable labels.
     """
 
-    __slots__ = ("faces", "ranks", "_above", "_down", "_index", "_covers", "_fault",
-                 "_labels")
+    __slots__ = ("faces", "ranks", "_above", "_index", "_covers", "_fault", "_labels")
 
     def __init__(self, faces: Sequence[Face], ranks: Sequence[int],
                  above: Iterable[Iterable[int]]):
@@ -144,7 +144,6 @@ class FacePoset:
         self.faces = tuple(faces)
         self.ranks = tuple(ranks)
         self._above = tuple(above)
-        self._down: tuple[Row, ...] | None = None
         self._labels = tuple(_labelled(self.faces) if labels is None else labels)
         self._covers: tuple[tuple[Row, ...], tuple[Row, ...]] | None = None
         self._fault: str | None = None
@@ -153,12 +152,6 @@ class FacePoset:
             if f in self._index:
                 raise NestohedraError(f"duplicate face {self._labels[i][0]}")
             self._index[f] = i
-
-    @property
-    def _below(self) -> tuple[Row, ...]:
-        if self._down is None:
-            self._down = _transpose(self._above)
-        return self._down
 
     # -- construction ---------------------------------------------------
 
@@ -375,27 +368,27 @@ def f_vector(p: FacePoset) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def meet(p: FacePoset, c1: Face, c2: Face) -> Face:
-    """Greatest lower bound; on construct posets this is the union when
-    the union is a construct, and the bottom face otherwise."""
-    return _bound(p, p._below, c1, c2, -1, "meet")
+    """Greatest lower bound: of the faces whose rows hold both, the first
+    by descending rank in all their rows.  On construct posets this is
+    the union when it is a construct, and the bottom face otherwise."""
+    i, j, rows = p.index(c1), p.index(c2), p._above
+    lower = [k for k, row in enumerate(rows) if i in row and j in row]
+    for k in sorted(lower, key=lambda x: -p.ranks[x]):
+        if all(k in rows[x] for x in lower):
+            return p.faces[k]
+    raise NestohedraError("faces have no meet")
 
 
 def join(p: FacePoset, c1: Face, c2: Face) -> Face:
-    """Least upper bound; on construct posets this is the intersection."""
-    return _bound(p, p._above, c1, c2, 1, "join")
-
-
-def _bound(p: FacePoset, rows: Sequence[Row], c1: Face, c2: Face, sign: int,
-           what: str) -> Face:
-    """Of the faces in the rows of both ``c1`` and ``c2`` (down-sets for
-    the meet, up-sets for the join), the first by ``sign`` times rank
-    whose own row holds them all."""
-    i, j = p.index(c1), p.index(c2)
-    common = sorted(set(rows[i]).intersection(rows[j]))
-    for k in sorted(common, key=lambda x: sign * p.ranks[x]):
-        if set(rows[k]).issuperset(common):
+    """Least upper bound: of the faces in the rows of both, the first by
+    ascending rank whose row holds them all; on construct posets this is
+    the intersection."""
+    i, j, rows = p.index(c1), p.index(c2), p._above
+    upper = sorted(set(rows[i]).intersection(rows[j]))
+    for k in sorted(upper, key=lambda x: p.ranks[x]):
+        if set(rows[k]).issuperset(upper):
             return p.faces[k]
-    raise NestohedraError(f"faces have no {what}")
+    raise NestohedraError("faces have no join")
 
 
 def otimes(*posets: FacePoset) -> FacePoset:
@@ -481,7 +474,7 @@ def section(p: FacePoset, g: Face, f: Face) -> FacePoset:
     fi, gi = p.index(f), p.index(g)
     if gi not in p._above[fi]:
         raise NotComparableError("section endpoints are not comparable")
-    return _induced(p, set(p._above[fi]).intersection(p._below[gi]), p.ranks[fi] + 1)
+    return _induced(p, [k for k in p._above[fi] if gi in p._above[k]], p.ranks[fi] + 1)
 
 
 def _induced(p: FacePoset, keep: Iterable[int], shift: int = 0) -> FacePoset:

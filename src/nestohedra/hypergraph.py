@@ -78,18 +78,6 @@ def family_components(masks: Iterable[int]) -> list[frozenset[int]]:
     return [frozenset(mem) for _, mem in sorted(comps)]
 
 
-def family_is_connected(masks: Iterable[int], carrier_mask: int) -> bool:
-    """Is ``masks`` a connected hypergraph with carrier ``carrier_mask``?
-
-    Requires the union of the members to be exactly the carrier; the
-    empty family is connected on the empty carrier only.
-    """
-    ms = list(masks)
-    if family_union(ms) != carrier_mask:
-        return False
-    return len(family_components(ms)) <= 1
-
-
 def members_within(masks: Iterable[int], ymask: int) -> list[int]:
     """Members entirely contained in ``ymask``."""
     return [m for m in masks if m & ~ymask == 0]

@@ -22,7 +22,8 @@ from .errors import CarrierMismatchError, NotSubsetError
 from .hypergraph import (
     AtomSet,
     Hypergraph,
-    family_is_connected,
+    family_components,
+    family_union,
     members_within,
 )
 
@@ -43,7 +44,7 @@ def _dispensable_mask(members: frozenset[int], ymask: int) -> bool:
     if ymask == 0:
         return False
     inner = [m for m in members_within(members, ymask) if m != ymask]
-    return family_is_connected(inner, ymask)
+    return family_union(inner) == ymask and len(family_components(inner)) <= 1
 
 
 def is_dispensable(h: Hypergraph, y: Iterable[str]) -> bool:

@@ -21,17 +21,19 @@ from nestohedra import (
     BOTTOM, FacePoset, abstract_polytope, bare_kernel, catalog, catalog_lookup, continuation,
     count_constructions, dispensable_subsets, enumerate_constructions, enumerate_constructs,
     f_vector, face_label, face_lattice_isomorphic, facet_section, finest_partition, is_asc,
-    is_atomic, is_construction, otimes, quotient, realize, restriction, saturated_closure, section,
-    to_f_construction, to_s_construction, verify_axioms, verify_inductive)
+    is_atomic, is_construction, join, meet, otimes, quotient, realize, restriction,
+    saturated_closure, section, to_f_construction, to_s_construction, verify_axioms,
+    verify_inductive)
 from nestohedra.axioms import VerificationReport
 from nestohedra.constructions import (
     EMPTY, Prefix, _antichain_constructions, _block_fault, _f_vector_and_rank, _peel, _word,
     _word_text, make_sum)
 from nestohedra.errors import (
-    BadFactorError, CarrierOverlapError, HypergraphError, MalformedPosetError, NestohedraError)
-from nestohedra.facelattice import Row, _induced, _labelled, _up_rows
+    BadFactorError, CarrierOverlapError, HypergraphError, MalformedPosetError, NestohedraError,
+    NotComparableError)
+from nestohedra.facelattice import Row, _induced, _labelled, _transpose, _up_rows
 from nestohedra.hypergraph import (
-    Hypergraph, bits_of, family_components, family_is_connected, family_union, mask_sort_key,
+    Hypergraph, bits_of, family_components, family_union, mask_sort_key,
     members_within, set_sort_key)
 from nestohedra.realization import _coordinates, _sums_fault
 from nestohedra.saturation import _dispensable_mask
@@ -290,7 +292,8 @@ def oracle_saturated_closure(h):
     for mask in _subsets_of_two_or_more(h.n_atoms):
         if mask in current:
             continue
-        if family_is_connected(members_within(current, mask), mask):
+        inner = members_within(current, mask)
+        if family_union(inner) == mask and len(family_components(inner)) <= 1:
             current.add(mask)
     return Hypergraph(h.atoms, current)
 
@@ -469,6 +472,50 @@ def diamond_poset() -> FacePoset:
     return FacePoset.from_covers(faces, covers)
 
 
+def oracle_lattice_ops(p: FacePoset) -> tuple[Callable, Callable, Callable]:
+    """``meet``, ``join`` and ``section`` on ``p`` as they read the
+    transposed rows, made once here: of the faces in the rows of both
+    (down-sets for the meet, up-sets for the join), the first by
+    descending (ascending) rank whose own row holds them all, and the
+    section keeps the faces above f and below g."""
+    below = _transpose(p._above)
+
+    def bound(rows: Sequence[Row], sign: int, what: str) -> Callable:
+        def op(_: FacePoset, c1, c2):
+            i, j = p.index(c1), p.index(c2)
+            common = sorted(set(rows[i]).intersection(rows[j]))
+            for k in sorted(common, key=lambda x: sign * p.ranks[x]):
+                if set(rows[k]).issuperset(common):
+                    return p.faces[k]
+            raise NestohedraError(f"faces have no {what}")
+        return op
+
+    def section_op(_: FacePoset, g, f) -> FacePoset:
+        fi, gi = p.index(f), p.index(g)
+        if gi not in p._above[fi]:
+            raise NotComparableError("section endpoints are not comparable")
+        return _induced(p, set(p._above[fi]).intersection(below[gi]), p.ranks[fi] + 1)
+
+    return bound(below, -1, "meet"), bound(p._above, 1, "join"), section_op
+
+
+def lattice_outcomes(p: FacePoset, meet_op: Callable, join_op: Callable,
+                     section_op: Callable) -> list:
+    """The meet, the join and the section of every ordered pair of faces
+    of ``p``: the face (a section's fields), or the type and message of
+    the ``NestohedraError`` raised."""
+    out = []
+    for a in p.faces:
+        for b in p.faces:
+            for op in (meet_op, join_op, section_op):
+                try:
+                    got = op(p, a, b)
+                except NestohedraError as err:
+                    got = (type(err), str(err))
+                out.append(_poset_fields(got) if isinstance(got, FacePoset) else got)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the axiom checkers as they read the transposed rows, and poset isomorphism
 # ---------------------------------------------------------------------------
@@ -495,18 +542,19 @@ def reference_order_fault(p: FacePoset) -> str:
     return ""
 
 
-def _reference_preamble(p: FacePoset, label: str) -> tuple[bool, list[tuple[str, tuple[str, ...]]]]:
+def _reference_preamble(p: FacePoset, below: Sequence[Row],
+                        label: str) -> tuple[bool, list[tuple[str, tuple[str, ...]]]]:
     """The checks both checkers start with: a well-formed order, then a
     unique least and greatest face.  Returns that verdict and the
     counterexamples (up to four least and greatest faces under ``label``
     on failure).  The least and greatest faces are read off the rows and
-    their transpose, and the verdict is not kept on the poset."""
+    their transpose ``below``, and the verdict is not kept on the poset."""
     fault = reference_order_fault(p)
     if fault:
         raise MalformedPosetError(fault)
     n = len(p.faces)
     bottoms = [i for i in range(n) if len(p._above[i]) == n]
-    tops = [i for i in range(n) if len(p._below[i]) == n]
+    tops = [i for i in range(n) if len(below[i]) == n]
     counter: list[tuple[str, tuple[str, ...]]] = []
     bounded = len(bottoms) == 1 and len(tops) == 1
     if not bounded:
@@ -568,7 +616,8 @@ def reference_verify_axioms(p: FacePoset) -> VerificationReport:
     diamond properties, reporting witnesses for each failure: the
     checker that read its greatest and minimal faces off the transposed
     rows, ``verify_axioms``'s reference."""
-    p1, counter = _reference_preamble(p, "P1")
+    below = _transpose(p._above)
+    p1, counter = _reference_preamble(p, below, "P1")
     n = len(p.faces)
     r = p.rank
     ranks = p.ranks
@@ -587,7 +636,7 @@ def reference_verify_axioms(p: FacePoset) -> VerificationReport:
             for length, count in tails[j].items():
                 tail[length + 1] = tail.get(length + 1, 0) + count
         tails[i] = tail
-    minimals = [i for i in range(n) if len(p._below[i]) == 1]
+    minimals = [i for i in range(n) if len(below[i]) == 1]
     expected = r + 2
     flags_checked = sum(sum(tails[i].values()) for i in minimals)
     p2 = all(tails[i].keys() == {expected} for i in minimals)
@@ -643,7 +692,8 @@ def reference_verify_inductive(p: FacePoset) -> VerificationReport:
     that read every down-set off the transposed rows and walked the
     facets sharing a ridge; ``verify_inductive``'s reference.
     """
-    p1, counter = _reference_preamble(p, "bounds")
+    below = _transpose(p._above)
+    p1, counter = _reference_preamble(p, below, "bounds")
     n = len(p.faces)
     r = p.rank
     ranks = p.ranks
@@ -654,7 +704,7 @@ def reference_verify_inductive(p: FacePoset) -> VerificationReport:
 
     for i in sorted(range(n), key=lambda i: ranks[i]):
         rk = ranks[i]
-        bel = p._below[i]
+        bel = below[i]
         if rk == -1:
             if bel != (i,):
                 p2 = False
@@ -677,7 +727,7 @@ def reference_verify_inductive(p: FacePoset) -> VerificationReport:
         missing: list[int] = []
         if len(facets) != len(down[i]):
             p2 = False
-            covered = set().union(*(p._below[f] for f in facets))
+            covered = set().union(*(below[f] for f in facets))
             missing = [j for j in bel if j != i and j not in covered]
             counter.append(("facet-coverage", (p._labels[i][0], p._labels[missing[0]][0])))
         # the rank k-2 faces below i, each with the facets holding it:
@@ -1008,12 +1058,12 @@ def oracle_poset(h):
 _poset = functools.lru_cache(maxsize=1)(abstract_polytope)
 
 
-def oracle_transposes(h):
-    """Down-sets by the generic transpose of the order, covers by the
-    generic cover scan, labels by labelling the faces afresh."""
+def oracle_build_shortcuts(h):
+    """Covers by the generic cover scan, labels by labelling the faces
+    afresh."""
     p = _poset(h)
     generic = FacePoset(p.faces, p.ranks, p._above)
-    return generic._below, generic._cover_rows(), tuple(_labelled(p.faces))
+    return generic._cover_rows(), tuple(_labelled(p.faces))
 
 
 def oracle_dense_order(faces_ranks):
@@ -1343,9 +1393,11 @@ _ROWS = [
     Route("pairwise-order", lambda h: (list((p := abstract_polytope(h)).faces), list(p.ranks),
                                        list(p._above)), oracle_poset, GEOMETRIC),
     Route("dense-order", lambda h: (list((p := _poset(h)).faces), list(p.ranks), p._above,
-                                    p._below, p._labels), _dense_rows, ATOMIC),
-    Route("build-time-shortcuts", lambda h: (_poset(h)._below, _poset(h)._covers,
-                                             _poset(h)._labels), oracle_transposes, ATOMIC),
+                                    _transpose(p._above), p._labels), _dense_rows, ATOMIC),
+    Route("build-time-shortcuts", lambda h: (_poset(h)._covers, _poset(h)._labels),
+          oracle_build_shortcuts, ATOMIC),
+    Route("lattice-operations", lambda h: lattice_outcomes(_poset(h), meet, join, section),
+          lambda h: lattice_outcomes(_poset(h), *oracle_lattice_ops(_poset(h))), ATOMIC, 3),
     Route("facet-sections", lambda h: [_poset_fields(facet_section(b, y)) for b, y in _facets(h)],
           oracle_facet_sections, ("saturated",)),
     Route("products", lambda h: [_poset_fields(otimes(*ps)) for ps in _product_factors(h)],

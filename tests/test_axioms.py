@@ -55,7 +55,6 @@ class TestAccepts:
             p = abstract_polytope(h)
             assert verify_axioms(p).ok and verify_inductive(p).ok
             assert p.top() is p.faces[-1]
-            assert p._down is None
 
     def test_flag_count_matches_vertex_orders(self):
         p = abstract_polytope(catalog_lookup("H_4641").hypergraph)
@@ -296,7 +295,7 @@ class TestMalformed:
 
     def test_constructor_sorts_rows(self):
         p = FacePoset(["a", "b"], [0, 1], [[1, 0], {1}])
-        assert p._above == ((0, 1), (1,)) and p._below == ((0,), (0, 1))
+        assert p._above == ((0, 1), (1,))
 
     @staticmethod
     def _count_scans(monkeypatch):

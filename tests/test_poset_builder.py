@@ -26,6 +26,8 @@ from nestohedra import (
     face_label,
     facet_section,
     is_atomic,
+    join,
+    meet,
     otimes,
     saturated_closure,
     section,
@@ -39,8 +41,9 @@ from nestohedra.hypergraph import family_components, set_sort_key
 
 from helpers import (KINDS, _reports, _reverse_inclusion, abar, all_asc_hypergraphs,
                      all_atomic_hypergraphs, check, construct_faces, diamond_poset, graph,
-                     negative_posets, kept_ids, paper_a, pairwise_order, reference_order_fault,
-                     reference_verify_axioms, reference_verify_inductive)
+                     lattice_outcomes, negative_posets, kept_ids, oracle_lattice_ops, paper_a,
+                     pairwise_order, reference_order_fault, reference_verify_axioms,
+                     reference_verify_inductive)
 
 
 def assert_matches(p, faces_ranks, leq=_reverse_inclusion):
@@ -115,13 +118,13 @@ def test_order_pairs_follow_the_construct_counts():
 
 
 # ---------------------------------------------------------------------------
-# what the builders know: down-sets, covers and labels
+# what the builders know: covers and labels
 # ---------------------------------------------------------------------------
 
-def assert_down_sets(p):
-    """The down-sets and labels a builder wrote down equal the generic
-    transpose of its order and a fresh labelling of its faces."""
-    assert p._below == FacePoset(p.faces, p.ranks, p._above)._below
+def assert_builder_shortcuts(p):
+    """The covers and labels a builder wrote down equal the generic
+    cover scan of its order and a fresh labelling of its faces."""
+    assert p._cover_rows() == FacePoset(p.faces, p.ranks, p._above)._cover_rows()
     assert p._labels == tuple(_labelled(p.faces))
 
 
@@ -136,10 +139,10 @@ class TestBuildTimeShortcuts(kept_ids("build-time-shortcuts")):
     def test_facet_sections_and_products(self):
         for h in list(all_asc_hypergraphs(4))[::7]:
             for y in h.member_sets - {frozenset(h.atoms)}:
-                assert_down_sets(facet_section(h, y))
+                assert_builder_shortcuts(facet_section(h, y))
         a, b = abstract_polytope(graph("path", 3)), abstract_polytope(
             Hypergraph.from_sets([{"x"}, {"y"}, {"z"}, {"x", "y"}]))
-        assert_down_sets(otimes(a, b))
+        assert_builder_shortcuts(otimes(a, b))
 
 
 class TestLabelledOnce:
@@ -201,11 +204,17 @@ class TestLabelledOnce:
             assert [label for label, _ in p._labels] == ["bot", "1", "1"]
 
 
+def _is_family(face):
+    """Is ``face`` a family of atom-name sets?"""
+    return (isinstance(face, frozenset) and all(isinstance(m, frozenset) for m in face)
+            and all(isinstance(a, str) for m in face for a in m))
+
+
 def _reference_label(face):
     """``face_label`` written out directly, one face at a time."""
     if face is BOTTOM:
         return "F-1"
-    if isinstance(face, frozenset) and all(isinstance(m, frozenset) for m in face):
+    if _is_family(face):
         members = sorted(face, key=set_sort_key)
         return "{" + ",".join("{%s}" % ",".join(sorted(m)) for m in members) + "}"
     return str(face)
@@ -216,18 +225,31 @@ class TestLabels:
         ten, two = frozenset({"10"}), frozenset({"2"})
         faces = [BOTTOM, frozenset(), "top", "v", ("a", 1), frozenset({"a", "b"}),
                  frozenset({ten, two, ten | two}), frozenset({two, ten | two}),
-                 frozenset({frozenset({"a"}), frozenset({"a", "b"})})]
+                 frozenset({frozenset({"a"}), frozenset({"a", "b"})}),
+                 frozenset({frozenset({1, 2})}), frozenset({frozenset({"a", 1})})]
         for h in (paper_a(), graph("cycle", 4)):
             faces += abstract_polytope(h).faces
         labelled = _labelled(faces)
         assert [label for label, _ in labelled] == [face_label(f) for f in faces]
         assert [face_label(f) for f in faces] == [_reference_label(f) for f in faces]
         for f, (_, members) in zip(faces, labelled):
-            if isinstance(f, frozenset) and all(isinstance(m, frozenset) for m in f):
+            if _is_family(f):
                 assert members == [tuple(sorted(m)) for m in sorted(f, key=set_sort_key)]
             else:
                 assert members is None
         assert face_label(frozenset({ten, two, ten | two})) == "{{10},{2},{10,2}}"
+
+    @pytest.mark.parametrize("face", [frozenset({frozenset({1, 2})}),
+                                      frozenset({frozenset({"a", 1})})],
+                             ids=["int-atoms", "mixed-atoms"])
+    def test_families_of_non_string_atoms_print_with_str(self, face):
+        # such a family is a hand-built payload, not a family of atom
+        # names: it takes the str() fallback and reports no members
+        p = FacePoset([BOTTOM, face], [-1, 0], [(0, 1), (1,)])
+        assert p._labels == (("F-1", None), (str(face), None))
+        q = FacePoset.from_covers([(face, 0), (BOTTOM, -1)], [(BOTTOM, face)])
+        assert q.faces == (BOTTOM, face) and q._labels == p._labels
+        assert [f["members"] for f in to_json_dict(q)["faces"]] == [None, None]
 
     def test_json_members_of_hand_built_payloads(self):
         # members are what the labels report: null for payloads that are
@@ -382,7 +404,7 @@ def _walked_flags(p):
     ups = [[] for _ in p.faces]
     for a, b in p.covers():
         ups[a].append(b)
-    minimals = [i for i in range(len(p.faces)) if p._below[i] == (i,)]
+    minimals = [i for i, row in enumerate(_transpose(p._above)) if row == (i,)]
     count, first_bad = 0, None
     stack = [(i, 1) for i in minimals]
     while stack:
@@ -400,11 +422,12 @@ def _disconnected_sections(p):
     """Sections of rank >= 2 whose inner faces are not connected, by a
     walk over every inner face."""
     out = []
+    below = _transpose(p._above)
     for f in range(len(p.faces)):
         for g in range(len(p.faces)):
             if g not in p._above[f] or p.ranks[g] - p.ranks[f] < 3:
                 continue
-            nodes = set(p._above[f]) & set(p._below[g]) - {f, g}
+            nodes = set(p._above[f]) & set(below[g]) - {f, g}
             if len(nodes) <= 1:
                 continue
             reached = {min(nodes)}
@@ -412,7 +435,7 @@ def _disconnected_sections(p):
                 grow = set(reached)
                 for u in range(len(p.faces)):
                     if u in reached:
-                        grow |= (set(p._above[u]) | set(p._below[u])) & nodes
+                        grow |= (set(p._above[u]) | set(below[u])) & nodes
                 if grow == reached:
                     break
                 reached = grow
@@ -477,6 +500,18 @@ def test_checker_reports_match_references_on_hand_built_posets():
     for p, q in zip(corpus(), corpus()):
         assert _reports(p, verify_axioms, verify_inductive) == \
             _reports(q, reference_verify_axioms, reference_verify_inductive)
+
+
+def test_lattice_operations_match_transposed_rows():
+    # meet, join and section read the up-set rows alone; the oracle reads
+    # their transpose.  The "lattice-operations" row holds construct
+    # posets; these are hand-built, most of them not lattices
+    rng = random.Random(30)
+    posets = [p for _, p in negative_posets()] + [diamond_poset()]
+    posets += [random_ranked_poset(rng) for _ in range(150)]
+    for p in posets:
+        assert lattice_outcomes(p, meet, join, section) == \
+            lattice_outcomes(p, *oracle_lattice_ops(p))
 
 
 def _transposed_top(p):
