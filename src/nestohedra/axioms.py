@@ -144,6 +144,15 @@ def _disconnected_sections(p: FacePoset, up: Sequence[Row],
     covers of f are numbered locally, and each face above f gets the
     small mask of those lying below it and ``f`` as its owner, so a
     coatom lies above f exactly when f owns it.
+
+    One pass over g's coatoms comes first: the first one seeds the
+    merge, each later one that meets it is merged in, and the pass
+    stops once the merge holds all the atoms.  It merges only sets in
+    the first coatom's component, so reaching all the atoms proves the
+    interval connected.  In a simple polytope every interval above a
+    vertex is Boolean, and there the second coatom already reaches them.
+    Only a pass that ends short runs the full merge, from the first
+    coatom again, for the verdict.
     """
     ranks, above = p.ranks, p._above
     atoms_under, owner = [0] * len(p.faces), [-1] * len(p.faces)
@@ -158,23 +167,33 @@ def _disconnected_sections(p: FacePoset, up: Sequence[Row],
             atoms_under[x] = 0
             owner[x] = f
         for t, u in enumerate(up[f]):
+            bit = 1 << t
             for x in above[u]:
-                atoms_under[x] |= 1 << t
+                atoms_under[x] |= bit
         for g in tops:
             checked += 1
-            # when g covers f, f is the only coatom and the interval is empty
-            sets = [atoms_under[c] for c in down[g] if owner[c] == f]
-            if len(sets) <= 1:
-                continue
-            lows = atoms_under[g]
-            merged, last = sets[0], 0
-            while merged != last and merged != lows:
-                last = merged
-                for atoms in sets:
-                    if atoms & merged:
-                        merged |= atoms
-            if merged != lows:
-                failed.append((f, g))
+            lows, merged = atoms_under[g], -1
+            for c in down[g]:
+                if owner[c] == f:
+                    if merged < 0:
+                        merged = atoms_under[c]
+                    elif atoms_under[c] & merged:
+                        merged |= atoms_under[c]
+                        if merged == lows:
+                            break
+            else:
+                # when g covers f, f is the only coatom and the interval is empty
+                sets = [atoms_under[c] for c in down[g] if owner[c] == f]
+                if len(sets) <= 1:
+                    continue
+                merged, last = sets[0], 0
+                while merged != last and merged != lows:
+                    last = merged
+                    for atoms in sets:
+                        if atoms & merged:
+                            merged |= atoms
+                if merged != lows:
+                    failed.append((f, g))
     return checked, failed
 
 
@@ -191,7 +210,7 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
     # runs from face i to a maximal face, and counts[i] numbers them all.
     up, down = p._cover_rows()
     lengths, counts = [2] * n, [1] * n
-    for i in sorted(range(n), key=lambda i: -ranks[i]):
+    for i in sorted(range(n), key=ranks.__getitem__, reverse=True):
         if up[i]:
             mask = total = 0
             for j in up[i]:
@@ -263,7 +282,7 @@ def verify_inductive(p: FacePoset) -> VerificationReport:
     p2 = p3 = p4 = True
     sections_checked = 0
 
-    for i in sorted(range(n), key=lambda i: ranks[i]):
+    for i in sorted(range(n), key=ranks.__getitem__):
         rk = ranks[i]
         if rk == -1:
             if down[i]:

@@ -507,9 +507,8 @@ def to_dot(p: FacePoset) -> str:
 
 
 def to_json_dict(p: FacePoset) -> dict:
-    faces = []
-    for i, (label, members) in enumerate(p._labels):
-        if members is not None:
-            members = [list(m) for m in members]
-        faces.append({"id": i, "rank": p.ranks[i], "label": label, "members": members})
-    return {"faces": faces, "covers": [list(c) for c in p.covers()]}
+    up, _ = p._cover_rows()
+    faces = [{"id": i, "rank": rank, "label": label,
+              "members": None if members is None else [list(m) for m in members]}
+             for i, (rank, (label, members)) in enumerate(zip(p.ranks, p._labels))]
+    return {"faces": faces, "covers": [[i, j] for i, ups in enumerate(up) for j in ups]}

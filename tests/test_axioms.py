@@ -147,6 +147,23 @@ class TestVerdicts:
                 {"property": "P3", "witnesses": ["bot", "top"]},
             ]}
 
+    def test_section_connected_only_by_the_full_merge(self):
+        # the coatoms hold {a1}, {a2, a3} and {a1, a2} in index order: one
+        # pass skips {a2, a3}, which meets nothing merged yet, and ends
+        # short of the atoms, so only the full merge proves it connected
+        p = FacePoset.from_covers(
+            [("bot", -1), ("a1", 0), ("a2", 0), ("a3", 0),
+             ("c1", 1), ("c2", 1), ("c3", 1), ("top", 2)],
+            [("bot", "a1"), ("bot", "a2"), ("bot", "a3"), ("a1", "c1"), ("a2", "c2"),
+             ("a3", "c2"), ("a1", "c3"), ("a2", "c3"),
+             ("c1", "top"), ("c2", "top"), ("c3", "top")])
+        assert verify_axioms(p).to_dict() == {
+            "ok": False, "p1_ok": True, "p2_ok": True, "p3_ok": True, "p4_ok": False,
+            "rank": 2, "flags_checked": 5, "sections_checked": 1,
+            "counterexamples": [
+                {"property": "P4", "witnesses": ["bot", "c1", "1 between"]},
+                {"property": "P4", "witnesses": ["a3", "top", "1 between"]},
+            ]}
 
     # below rank -1 no flag has r + 2 faces, and the report names the
     # first short flag without a negative shift

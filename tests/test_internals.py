@@ -45,7 +45,7 @@ from nestohedra.constructions import (
 )
 from nestohedra.axioms import (_disconnected_sections, _order_fault, _preamble,
                                _proved_by_covers)
-from nestohedra.facelattice import _cover_scan, _graded, _mask_poset, _up_rows
+from nestohedra.facelattice import _cover_scan, _graded, _mask_poset, _up_rows, to_json_dict
 from nestohedra.realization import _coordinates, _sums_fault
 from nestohedra.hypergraph import _AtomSets, family_components
 from nestohedra.tubings import _is_tubing
@@ -242,7 +242,8 @@ class TestInvariantsUnderOptimize:
                                     _sums_fault,
                                     face_lattice_isomorphic,
                                     otimes, meet, join, section, abstract_polytope, _mask_poset,
-                                    _graded, _up_rows, _cover_scan, _disconnected_sections,
+                                    _graded, _up_rows, _cover_scan, to_json_dict,
+                                    _disconnected_sections,
                                     _order_fault, _proved_by_covers, _preamble,
                                     verify_axioms, verify_inductive, tubings_equal_constructs,
                                     Hypergraph.family, _AtomSets.__missing__,
