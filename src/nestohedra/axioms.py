@@ -7,15 +7,23 @@ condition.  ``verify_inductive`` instead rebuilds the poset bottom-up:
 each face's down-set must arise from a closely connected, bivalent set
 of one-rank-lower polytopes.  The two accept exactly the same posets;
 the tests exercise that equivalence rather than assuming it.
+
+Both need a well-formed order first.  One walk over the faces
+(``_intervals``) proves it from the up-cover rows, and ``verify_axioms``
+reads its diamond counts and section checks off the marks that walk
+leaves; the rows are scanned pairwise only to name the fault of an
+order the walk refuses.  The verdict is kept on the poset, so
+``verify_inductive`` run after ``verify_axioms`` does not walk again;
+``verify_axioms`` always walks, for its marks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator
 
 from .errors import MalformedPosetError
-from .facelattice import FacePoset, Row
+from .facelattice import FacePoset
 
 
 @dataclass(frozen=True)
@@ -62,12 +70,11 @@ def _order_fault(p: FacePoset) -> str:
     on it; empty when it is.  Nothing of how the poset was built is
     assumed.
 
-    First ``_proved_by_covers`` tries a proof by induction from the top
-    rank over the up-cover rows: the rank rises on every up-cover and
-    each row is the face plus its up-covers' rows.  Only when that
-    fails are the rows scanned pairwise, each against the others' rows
-    as sets, to name the fault."""
-    if _proved_by_covers(p):
+    The walk of ``_intervals``, on throwaway arrays, is the proof.  Only
+    when it stops short are the rows scanned pairwise, each against the
+    others' rows as sets, to name the fault."""
+    n = len(p.faces)
+    if sum(1 for _ in _intervals(p, [0] * n, [-1] * n)) == n:
         return ""
     ranks = p.ranks
     rows = [frozenset(row) for row in p._above]
@@ -86,27 +93,39 @@ def _order_fault(p: FacePoset) -> str:
     return ""
 
 
-def _proved_by_covers(p: FacePoset) -> bool:
-    """Whether the up-cover rows prove the order well-formed: the rank
-    rises on every up-cover, and each row holds exactly the face itself
-    and the rows of its up-covers (so a face with no up-cover has the
-    row ``(i,)``).  Ranks rise along up-covers, so these have no cycle,
-    and by induction from the top rank each row is then exactly the
-    faces reached from its face along up-covers: a reflexive, transitive
-    relation whose rank rises strictly off the diagonal, hence
-    antisymmetric.  Whatever the cover rows, a True is a proof."""
-    above, ranks = p._above, p.ranks
+def _intervals(p: FacePoset, atoms_under: list[int], owner: list[int]) -> Iterator[int]:
+    """Each face f in index order, once ``owner[x]`` is f and
+    ``atoms_under[x]`` the mask of the up-covers of f below x (up-cover
+    t is bit t) for every x in f's row.  The walk stops at the first
+    face whose row the up-cover rows do not prove: every up-cover must
+    rank higher than f and keep its whole row inside f's row, and f
+    must lie in its row as the only face there that no up-cover's row
+    marks.
+
+    Then f's row is exactly f and its up-covers' rows.  Ranks rise
+    along up-covers, so these have no cycle, and by induction from the
+    top rank each row is the faces reached from its face along
+    up-covers: a reflexive, transitive relation whose rank rises
+    strictly off the diagonal, hence antisymmetric.  Whatever the cover
+    rows, a walk that yields every face proves the order."""
+    ranks, above = p.ranks, p._above
     up, _ = p._cover_rows()
-    for i, ups in enumerate(up):
-        rank, reached = ranks[i], {i}
-        for j in ups:
-            if ranks[j] <= rank:
-                return False
-            reached.update(above[j])
-        # rows hold distinct faces, so this is set equality
-        if len(reached) != len(above[i]) or not reached.issuperset(above[i]):
-            return False
-    return True
+    for f, row in enumerate(above):
+        for x in row:
+            atoms_under[x] = 0
+            owner[x] = f
+        rank = ranks[f]
+        for t, u in enumerate(up[f]):
+            if ranks[u] <= rank:
+                return
+            bit = 1 << t
+            for x in above[u]:
+                if owner[x] != f:
+                    return
+                atoms_under[x] |= bit
+        if owner[f] != f or atoms_under[f] or [atoms_under[x] for x in row].count(0) != 1:
+            return
+        yield f
 
 
 def _preamble(p: FacePoset, label: str) -> tuple[bool, list[tuple[str, tuple[str, ...]]]]:
@@ -132,83 +151,77 @@ def _preamble(p: FacePoset, label: str) -> tuple[bool, list[tuple[str, tuple[str
     return bounded, counter
 
 
-def _disconnected_sections(p: FacePoset, up: Sequence[Row],
-                           down: Sequence[Row]) -> tuple[int, list[tuple[int, int]]]:
-    """The number of sections of rank >= 2 checked for strong
-    connectedness, and the (f, g) index pairs of those that fail, in order.
-
-    Every face strictly between f and g lies above an atom (a cover of f
-    below g) and below a coatom (a face covered by g above f), so the
-    open interval is connected exactly when the coatoms' atom sets,
-    merged while any two overlap, become one set: all the atoms.  The
-    covers of f are numbered locally, and each face above f gets the
-    small mask of those lying below it and ``f`` as its owner, so a
-    coatom lies above f exactly when f owns it.
-
-    One pass over g's coatoms comes first: the first one seeds the
-    merge, each later one that meets it is merged in, and the pass
-    stops once the merge holds all the atoms.  It merges only sets in
-    the first coatom's component, so reaching all the atoms proves the
-    interval connected.  In a simple polytope every interval above a
-    vertex is Boolean, and there the second coatom already reaches them.
-    Only a pass that ends short runs the full merge, from the first
-    coatom again, for the verdict.
-    """
-    ranks, above = p.ranks, p._above
-    atoms_under, owner = [0] * len(p.faces), [-1] * len(p.faces)
-    checked = 0
-    failed: list[tuple[int, int]] = []
-    for f, above_f in enumerate(above):
-        floor = ranks[f] + 3
-        tops = [g for g in above_f if ranks[g] >= floor]
-        if not tops:
-            continue
-        for x in above_f:
-            atoms_under[x] = 0
-            owner[x] = f
-        for t, u in enumerate(up[f]):
-            bit = 1 << t
-            for x in above[u]:
-                atoms_under[x] |= bit
-        for g in tops:
-            checked += 1
-            lows, merged = atoms_under[g], -1
-            for c in down[g]:
-                if owner[c] == f:
-                    if merged < 0:
-                        merged = atoms_under[c]
-                    elif atoms_under[c] & merged:
-                        merged |= atoms_under[c]
-                        if merged == lows:
-                            break
-            else:
-                # when g covers f, f is the only coatom and the interval is empty
-                sets = [atoms_under[c] for c in down[g] if owner[c] == f]
-                if len(sets) <= 1:
-                    continue
-                merged, last = sets[0], 0
-                while merged != last and merged != lows:
-                    last = merged
-                    for atoms in sets:
-                        if atoms & merged:
-                            merged |= atoms
-                if merged != lows:
-                    failed.append((f, g))
-    return checked, failed
-
-
 def verify_axioms(p: FacePoset) -> VerificationReport:
     """Check the least/greatest, flag-length, strong-connectedness and
-    diamond properties, reporting witnesses for each failure."""
-    p1, counter = _preamble(p, "P1")
+    diamond properties, reporting witnesses for each failure.
+
+    One walk over the faces (``_intervals``) proves the order and marks,
+    for each face f, the up-covers of f below every face of its row.
+    Ranks rise strictly along the order, so the faces between f and a
+    face g two ranks up are the up-covers of f below g: the diamond
+    counts them.  Each g three or more ranks up is a section to check
+    for strong connectedness.  The walk runs before the flags are
+    counted, so a malformed order raises first."""
     n = len(p.faces)
     r = p.rank
-    ranks = p.ranks
+    ranks, above = p.ranks, p._above
+    up, down = p._cover_rows()
+    atoms_under, owner = [0] * n, [-1] * n
+    walked = sections_checked = 0
+    disconnected: list[tuple[int, int]] = []
+    diamonds: list[tuple[int, int, int]] = []
+    for f in _intervals(p, atoms_under, owner):
+        walked += 1
+        two = ranks[f] + 2
+        for g in above[f]:
+            rank_g = ranks[g]
+            if rank_g == two:
+                between = atoms_under[g].bit_count()
+                if between != 2:
+                    # g marks itself, and only itself, when it covers f
+                    diamonds.append((f, g, between - (g in up[f])))
+            elif rank_g > two:
+                sections_checked += 1
+                # Every face strictly between f and g lies above an atom
+                # (a cover of f below g) and below a coatom (a face g
+                # covers above f, that is one f owns), so the interval is
+                # connected exactly when the coatoms' atom sets, merged
+                # while any two overlap, become all the atoms.  One pass
+                # merges into the first coatom's set and stops once it
+                # holds them all: above a vertex of a simple polytope the
+                # interval is Boolean and the second coatom does it.  Only
+                # a pass that ends short runs the full merge.
+                lows, merged = atoms_under[g], -1
+                for c in down[g]:
+                    if owner[c] == f:
+                        if merged < 0:
+                            merged = atoms_under[c]
+                        elif atoms_under[c] & merged:
+                            merged |= atoms_under[c]
+                            if merged == lows:
+                                break
+                else:
+                    # when g covers f, f is the only coatom and the interval is empty
+                    sets = [atoms_under[c] for c in down[g] if owner[c] == f]
+                    if len(sets) <= 1:
+                        continue
+                    merged, last = sets[0], 0
+                    while merged != last and merged != lows:
+                        last = merged
+                        for atoms in sets:
+                            if atoms & merged:
+                                merged |= atoms
+                    if merged != lows:
+                        disconnected.append((f, g))
+    if walked == n:
+        p._fault = ""
+    p1, counter = _preamble(p, "P1")
+    if walked < n:
+        raise MalformedPosetError("the cover rows do not match the order")
 
     # flags: maximal chains along covers from the minimal faces, counted
     # top down by rank: bit L of lengths[i] is set when a chain of L faces
     # runs from face i to a maximal face, and counts[i] numbers them all.
-    up, down = p._cover_rows()
     lengths, counts = [2] * n, [1] * n
     for i in sorted(range(n), key=ranks.__getitem__, reverse=True):
         if up[i]:
@@ -218,8 +231,9 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
                 total += counts[j]
             lengths[i], counts[i] = mask << 1, total
     minimals = [i for i in range(n) if not down[i]]
-    # P2 asks every flag for r + 2 faces; no chain has fewer than one
-    single = 1 << (r + 2) if r + 2 > 0 else 0
+    # P2 asks every flag for r + 2 faces; no chain has fewer than one face
+    # or more than n, so no mask matches 0
+    single = 1 << (r + 2) if 0 < r + 2 <= n else 0
     flags_checked = sum(counts[i] for i in minimals)
     p2 = all(lengths[i] == single for i in minimals)
     if not p2:
@@ -230,31 +244,11 @@ def verify_axioms(p: FacePoset) -> VerificationReport:
             depth += 1
         counter.append(("P2", (p._labels[i][0], f"length {depth}")))
 
-    # strong connectedness: only sections of rank >= 2 need a check
-    sections_checked, disconnected = _disconnected_sections(p, up, down)
-    p3 = not disconnected
-    for f, g in disconnected:
-        counter.append(("P3", (p._labels[f][0], p._labels[g][0])))
-
-    # diamond: exactly two faces strictly between any rank-gap-2 pair.
-    # Ranks rise strictly along the order, so those faces are the middles
-    # of the two-step cover paths, and a face two ranks up with none
-    # covers f directly.
-    p4 = True
-    for f in range(n):
-        want = ranks[f] + 2
-        between = {g: 0 for g in up[f] if ranks[g] == want}
-        for c in up[f]:
-            for g in up[c]:
-                if ranks[g] == want:
-                    between[g] = between.get(g, 0) + 1
-        for g in sorted(between):
-            if between[g] != 2:
-                p4 = False
-                counter.append(("P4", (p._labels[f][0], p._labels[g][0],
-                                       f"{between[g]} between")))
-
-    return VerificationReport(p1, p2, p3, p4, r, tuple(counter),
+    labels = p._labels
+    counter += [("P3", (labels[f][0], labels[g][0])) for f, g in disconnected]
+    counter += [("P4", (labels[f][0], labels[g][0], f"{between} between"))
+                for f, g, between in diamonds]
+    return VerificationReport(p1, p2, not disconnected, not diamonds, r, tuple(counter),
                               flags_checked, sections_checked)
 
 

@@ -89,8 +89,9 @@ class FacePoset:
     face_j (i included), the poset's only copy of its order.  The public
     constructor takes one rank and one row of face indices per face, in
     any order, and raises
-    ``MalformedPosetError`` on a count that does not match the faces or
-    a row naming an unknown face or one face twice; the builders hand
+    ``MalformedPosetError`` on a count that does not match the faces, a
+    rank that is not an ``int``, or a row naming an unknown face or one
+    face twice (``from_covers`` checks its ranks too); the builders hand
     over sorted rows without repeats.  ``_covers`` (per face,
     the sorted indices of the faces covering it and of those it covers)
     comes closed-form from ``abstract_polytope`` and ``facet_section``
@@ -114,6 +115,9 @@ class FacePoset:
             raise MalformedPosetError(
                 f"{n} faces need one rank and one row each: got {len(ranks)} ranks "
                 f"and {len(rows)} rows")
+        bad = next((i for i, rank in enumerate(ranks) if not isinstance(rank, int)), None)
+        if bad is not None:
+            raise MalformedPosetError(f"rank {bad} is not an integer")
         for i, row in enumerate(rows):
             try:
                 rows[i] = row = tuple(sorted(row))
@@ -163,7 +167,7 @@ class FacePoset:
         items = list(faces_ranks)
         faces, ranks = [f for f, _ in items], [r for _, r in items]
         n = len(faces)
-        unsorted = cls._built(faces, ranks, [(i,) for i in range(n)], None)  # labels once
+        unsorted = cls(faces, ranks, [(i,) for i in range(n)])  # checks ranks, labels once
         index = unsorted.index
         succ: list[list[int]] = [[] for _ in range(n)]
         for a, b in [(index(a), index(b)) for a, b in covers]:  # raises on faces not listed

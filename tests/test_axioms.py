@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from nestohedra import (
@@ -165,6 +167,43 @@ class TestVerdicts:
                 {"property": "P4", "witnesses": ["a3", "top", "1 between"]},
             ]}
 
+    def test_face_two_ranks_up_covering_directly(self):
+        # top covers a and b directly, so nothing lies between either and
+        # top, although top is two ranks up
+        p = FacePoset.from_covers(
+            [("bot", -1), ("a", 0), ("b", 0), ("top", 2)],
+            [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+        assert verify_axioms(p).to_dict() == {
+            "ok": False, "p1_ok": True, "p2_ok": False, "p3_ok": False, "p4_ok": False,
+            "rank": 2, "flags_checked": 2, "sections_checked": 1,
+            "counterexamples": [
+                {"property": "P2", "witnesses": ["top", "length 3"]},
+                {"property": "P3", "witnesses": ["bot", "top"]},
+                {"property": "P4", "witnesses": ["a", "top", "0 between"]},
+                {"property": "P4", "witnesses": ["b", "top", "0 between"]},
+            ]}
+
+    def test_huge_declared_rank(self):
+        # no chain holds more faces than the poset, so the flag length
+        # r + 2 is never built as a mask of r + 3 bits (1.25 MB here)
+        p = FacePoset(["bot", "top"], [-1, 10**7], [(0, 1), (1,)])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            report = verify_axioms(p).to_dict()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert report == {
+            "ok": False, "p1_ok": True, "p2_ok": False, "p3_ok": True, "p4_ok": True,
+            "rank": 10**7, "flags_checked": 1, "sections_checked": 1,
+            "counterexamples": [{"property": "P2", "witnesses": ["top", "length 2"]}]}
+        assert peak < 100_000
+
     # below rank -1 no flag has r + 2 faces, and the report names the
     # first short flag without a negative shift
     @pytest.mark.parametrize("faces, ranks, above, witnesses", [
@@ -310,6 +349,45 @@ class TestMalformed:
         assert type(err.value) is MalformedPosetError
         assert str(err.value) == fault
 
+    @pytest.mark.parametrize("ranks, bad", [
+        ([0, 1.5], 1), ([0.0, 1], 0), ([0, "1"], 1), ([0, None], 1),
+    ], ids=["float", "integral-float", "str", "none"])
+    @pytest.mark.parametrize("build", [
+        lambda ranks: FacePoset("ab", ranks, [(0, 1), (1,)]),
+        lambda ranks: FacePoset.from_covers(zip("ab", ranks), [("a", "b")]),
+    ], ids=["constructor", "from-covers"])
+    def test_constructors_refuse_non_integer_ranks(self, build, ranks, bad):
+        with pytest.raises(MalformedPosetError) as err:
+            build(ranks)
+        assert type(err.value) is MalformedPosetError
+        assert str(err.value) == f"rank {bad} is not an integer"
+
+    # each poset breaks one condition of the walk's proof, at one face
+    @pytest.mark.parametrize("faces, ranks, above, fault", [
+        ("ab", [0, 0], [(0, 1), (1,)], "rank does not increase from a to b"),
+        ("abc", [0, 1, 2], [(0, 1, 2)] * 3, "order is not antisymmetric"),
+        ("abcd", [-1, 0, 1, 2], [(0, 1, 2), (1, 2, 3), (2, 3), (3,)],
+         "order is not transitive"),
+    ], ids=["cover-of-equal-rank", "face-no-cover-reaches", "cover-row-leaves-the-row"])
+    def test_each_proof_condition_refused(self, faces, ranks, above, fault):
+        for checks in ((verify_axioms, verify_inductive), (verify_inductive, verify_axioms)):
+            p = FacePoset(faces, ranks, above)
+            for check in checks:
+                with pytest.raises(MalformedPosetError) as err:
+                    check(p)
+                assert str(err.value) == fault
+
+    def test_cover_rows_that_prove_nothing(self):
+        # a well-formed order whose kept cover rows miss its one cover:
+        # the walk stops short, the scan finds no fault, and no report is
+        # read off the part walked
+        p = FacePoset("ab", [0, 1], [(0, 1), (1,)])
+        p._covers = (((), ()), ((), ()))
+        with pytest.raises(MalformedPosetError,
+                           match="^the cover rows do not match the order$"):
+            verify_axioms(p)
+        assert p._fault == ""
+
     def test_constructor_sorts_rows(self):
         p = FacePoset(["a", "b"], [0, 1], [[1, 0], {1}])
         assert p._above == ((0, 1), (1,))
@@ -322,10 +400,19 @@ class TestMalformed:
         return scans
 
     def test_order_scanned_once_for_both_checkers(self, monkeypatch):
-        scans = self._count_scans(monkeypatch)
-        p = abstract_polytope(paper_a())
-        assert verify_axioms(p).ok and verify_inductive(p).ok
-        assert scans == [p]
+        # verify_axioms' walk proves the order, so verify_inductive after
+        # it neither walks nor scans.  Run first, verify_inductive proves
+        # the order with one walk, and verify_axioms walks once more for
+        # its sections and diamonds but scans nothing
+        scans, walks = self._count_scans(monkeypatch), []
+        walk = axioms._intervals
+        monkeypatch.setattr(axioms, "_intervals",
+                            lambda p, *marks: walks.append(p) or walk(p, *marks))
+        p, q = abstract_polytope(paper_a()), abstract_polytope(paper_a())
+        assert verify_axioms(p).ok and p._fault == "" and verify_inductive(p).ok
+        assert [w is p for w in walks] == [True] and scans == []
+        assert verify_inductive(q).ok and verify_axioms(q).ok
+        assert [w is q for w in walks] == [False, True, True] and scans == [q]
 
     def test_malformed_verdict_kept(self, monkeypatch):
         scans = self._count_scans(monkeypatch)

@@ -43,8 +43,7 @@ from nestohedra.constructions import (
     _word_text,
     antichains_all_miss,
 )
-from nestohedra.axioms import (_disconnected_sections, _order_fault, _preamble,
-                               _proved_by_covers)
+from nestohedra.axioms import _intervals, _order_fault, _preamble
 from nestohedra.facelattice import _cover_scan, _graded, _mask_poset, _up_rows, to_json_dict
 from nestohedra.realization import _coordinates, _sums_fault
 from nestohedra.hypergraph import _AtomSets, family_components
@@ -243,8 +242,7 @@ class TestInvariantsUnderOptimize:
                                     face_lattice_isomorphic,
                                     otimes, meet, join, section, abstract_polytope, _mask_poset,
                                     _graded, _up_rows, _cover_scan, to_json_dict,
-                                    _disconnected_sections,
-                                    _order_fault, _proved_by_covers, _preamble,
+                                    _intervals, _order_fault, _preamble,
                                     verify_axioms, verify_inductive, tubings_equal_constructs,
                                     Hypergraph.family, _AtomSets.__missing__,
                                     _clique_hits, _incomparable, _is_tubing])
